@@ -10,7 +10,7 @@ instead, and the remaining baselines skip stage 2 (or both stages).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,14 +64,14 @@ class SchemeSpec:
                 raise ParameterError("channel_aware takes exactly one of g_min or p_s")
         elif given != needed:
             raise ParameterError(f"{self.kind} requires fields {sorted(needed)}, got {sorted(given)}")
-        if self.delta is not None and self.delta < 0:
-            raise ParameterError("delta must be nonnegative")
-        if self.g is not None and not self.g > 0:
-            raise ParameterError("SIR threshold must be positive")
+        if self.delta is not None and not 0 <= self.delta < math.inf:
+            raise ParameterError("delta must be finite and nonnegative")
+        if self.g is not None and not 0 < self.g < math.inf:
+            raise ParameterError("SIR threshold g must be finite and positive")
         if self.p_s is not None and not 0 <= self.p_s <= 1:
             raise ParameterError("p_s must be in [0, 1]")
-        if self.g_min is not None and self.g_min < 0:
-            raise ParameterError("g_min must be nonnegative")
+        if self.g_min is not None and not 0 <= self.g_min < math.inf:
+            raise ParameterError("g_min must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -91,11 +91,17 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Outcome of an activation rule for one network realization."""
+    """Outcome of an activation rule for one network realization.
+
+    ``powers`` carries the estimation phase's received powers over the
+    candidates when the rule measured them, so the data phase can slice
+    them instead of recomputing.
+    """
 
     active_ids: frozenset
     candidate_ids: frozenset
     estimated_sir: dict = field(default_factory=dict)
+    powers: radio.LinkPowers | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.active_ids <= self.candidate_ids:
@@ -113,16 +119,19 @@ def stage1_guard_zone(pairs: spatial.D2DPairSet, bs_points: spatial.PointSet,
 
 
 def estimation_phase(candidate_ids, pairs: spatial.D2DPairSet, assoc: spatial.CellAssociation,
-                     fading: radio.FadingTable, params: radio.RadioParams) -> dict:
+                     fading: radio.FadingTable, params: radio.RadioParams,
+                     powers: radio.LinkPowers | None = None) -> dict:
     """Estimated SIR per candidate with every candidate transmitting at once.
 
     All uplink users interfere as well; this is the test-signal stage of the
-    two-stage protocol.
+    two-stage protocol.  ``powers``, when given, are the candidates' received
+    powers under ``fading`` and are read instead of recomputed.
     """
-    ids, signal, inter = radio.d2d_sir_values(candidate_ids, candidate_ids, pairs,
-                                              assoc, fading, params)
-    sir = np.where(inter > 0, signal / np.where(inter > 0, inter, 1.0), math.inf)
-    return {int(i): float(v) for i, v in zip(ids, sir)}
+    if powers is None:
+        powers = radio.LinkPowers.build(radio.link_ids(candidate_ids), pairs, assoc,
+                                        fading, params)
+    sir = radio.sir(*powers.d2d())
+    return dict(zip(powers.links.tolist(), sir.tolist()))
 
 
 def stage2_threshold(estimated: dict, g: float) -> ActiveSet:
@@ -159,18 +168,17 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidate_ids,
     """
     if (g_min is None) == (p_s is None):
         raise ParameterError("give exactly one of g_min or p_s")
+    candidates = radio.link_ids(candidate_ids)
     if g_min is None:
         if not 0 <= p_s <= 1:
             raise ParameterError("p_s must be in [0, 1]")
         if p_s == 0:
-            return ActiveSet(frozenset(), frozenset(candidate_ids))
+            return ActiveSet(frozenset(), frozenset(candidates.tolist()))
         g_min = -math.log(p_s) / pairs.link_length ** params.alpha
-    own_gain = {}
-    loss = pairs.link_length ** -params.alpha
-    for i in candidate_ids:
-        own_gain[int(i)] = fading.gain(("d2d", int(i)), ("d2drx", int(i))) * loss
-    active = frozenset(i for i, v in own_gain.items() if v > g_min)
-    return ActiveSet(active_ids=active, candidate_ids=frozenset(int(i) for i in candidate_ids))
+    own_gain = fading.block("d2d", "d2drx")[candidates, candidates] \
+        * pairs.link_length ** -params.alpha
+    return ActiveSet(active_ids=frozenset(candidates[own_gain > g_min].tolist()),
+                     candidate_ids=frozenset(candidates.tolist()))
 
 
 def apply_scheme(spec: SchemeSpec, realization, fading: radio.FadingTable,
@@ -190,7 +198,10 @@ def apply_scheme(spec: SchemeSpec, realization, fading: radio.FadingTable,
     if spec.kind == CHANNEL_AWARE:
         return channel_aware_activate(pairs, candidates, fading, params,
                                       g_min=spec.g_min, p_s=spec.p_s)
-    estimated = estimation_phase(candidates, pairs, assoc, fading, params)
+    powers = radio.LinkPowers.build(radio.link_ids(candidates), pairs, assoc, fading, params)
+    estimated = estimation_phase(candidates, pairs, assoc, fading, params, powers=powers)
     if spec.kind == PROPOSED_THRESHOLD:
-        return stage2_threshold(estimated, spec.g)
-    return stage2_top_fraction(estimated, spec.p_s)
+        chosen = stage2_threshold(estimated, spec.g)
+    else:
+        chosen = stage2_top_fraction(estimated, spec.p_s)
+    return replace(chosen, powers=powers)

@@ -7,9 +7,10 @@ between the activation SIR threshold and the access probability.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
@@ -32,6 +33,9 @@ class SystemParams:
     gamma: float         # cellular SIR target, linear
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.lambda_m > 0:
             raise ParameterError("lambda_m must be positive")
         if self.lambda_d < 0:
@@ -198,9 +202,22 @@ NEAREST_LAW = "nearest"      # keep-out radius ~ Rayleigh nearest-BS-distance la
 CELL_DISK_LAW = "cell_disk"  # keep-out radius ~ equal-area disk of the typical cell
 
 
+def warn_if_loose(delta: float, lambda_m: float):
+    """Warn when ``delta`` exceeds half the mean cell radius.
+
+    Beyond that radius the keep-out approximation of the D2D field is loose.
+    """
+    tight = 1.0 / (2.0 * math.sqrt(math.pi * lambda_m))
+    if delta > tight:
+        warnings.warn(
+            f"guard radius {delta:.1f} m exceeds {tight:.1f} m; the keep-out "
+            "approximation of the D2D field loses accuracy", ApproximationWarning,
+            stacklevel=3)
+
+
 def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
                       params: SystemParams, quad: QuadratureSettings | None = None,
-                      dmin_law: str = NEAREST_LAW) -> float:
+                      dmin_law: str = NEAREST_LAW, warn: bool = True) -> float:
     """Probability a cellular uplink beats its SIR target.
 
     Interference comes from the other uplink users (a PPP kept outside a
@@ -212,7 +229,8 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     ``dmin_law`` selects the keep-out radius distribution: the default
     ``nearest`` (Rayleigh) law reproduces the published single-tier ceiling
     of 0.5552 at the reference parameters; ``cell_disk`` uses the
-    equal-area-disk law of ``pdf_dmin`` instead.
+    equal-area-disk law of ``pdf_dmin`` instead.  ``warn=False`` skips the
+    loose-keep-out warning, for callers that warn once for a final radius.
     """
     if gamma < 0 or active_d2d_density < 0 or delta < 0:
         raise ParameterError("gamma, density and delta must be nonnegative")
@@ -222,11 +240,8 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
         return 1.0
     quad = quad or DEFAULT_QUAD
     lam_m = params.lambda_m
-    tight = 1.0 / (2.0 * math.sqrt(math.pi * lam_m))
-    if delta > tight:
-        warnings.warn(
-            f"guard radius {delta:.1f} m exceeds {tight:.1f} m; the keep-out "
-            "approximation of the D2D field loses accuracy", ApproximationWarning)
+    if warn:
+        warn_if_loose(delta, lam_m)
     if dmin_law == NEAREST_LAW:
         dmin_pdf = pdf_link_distance
         r_max = _link_distance_quantile(1.0 - quad.tail_mass, lam_m)
@@ -254,7 +269,17 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
 
 def max_cellular_coverage(params: SystemParams, quad: QuadratureSettings | None = None,
                           dmin_law: str = NEAREST_LAW) -> float:
-    """Cellular coverage with the D2D tier silent (single-tier ceiling)."""
+    """Cellular coverage with the D2D tier silent (single-tier ceiling).
+
+    Memoized on its frozen arguments: every guard-radius solve and plan
+    needs the same ceiling, and each evaluation is a nested quadrature.
+    """
+    return _max_cellular_coverage(params, quad or DEFAULT_QUAD, dmin_law)
+
+
+@functools.lru_cache(maxsize=64)
+def _max_cellular_coverage(params: SystemParams, quad: QuadratureSettings,
+                           dmin_law: str) -> float:
     return cellular_coverage(params.gamma, 0.0, 0.0, params, quad, dmin_law=dmin_law)
 
 

@@ -72,11 +72,23 @@ def parse_config_file(path: Path) -> dict:
     return raw
 
 
-def _get_float(raw: dict, key: str) -> float:
+def _parse_float(text: str, field: str) -> float:
+    """A finite float, or a ConfigError naming ``field``."""
     try:
-        return float(raw[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"config field {key!r} is not a number: {raw[key]!r}") from None
+        raise ConfigError(f"{field} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {text!r}")
+    return value
+
+
+def _parse_float_list(text: str, field: str) -> list[float]:
+    return [_parse_float(tok, field) for tok in text.split(",") if tok.strip()]
+
+
+def _get_float(raw: dict, key: str) -> float:
+    return _parse_float(raw[key], f"config field {key!r}")
 
 
 def _get_int(raw: dict, key: str) -> int:
@@ -182,8 +194,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         window = Window(window_m, window_m, topology=topology)
     except ParameterError as exc:
         raise ConfigError(f"invalid window config: {exc}") from None
-    ccdf_raw = merged["ccdf_points_db"].strip()
-    ccdf = tuple(float(tok) for tok in ccdf_raw.split(",") if tok.strip()) if ccdf_raw else ()
+    ccdf = tuple(_parse_float_list(merged["ccdf_points_db"], "config field 'ccdf_points_db'"))
     return RunConfig(
         params=params,
         scheme=scheme,
@@ -411,7 +422,7 @@ def main(argv=None) -> int:
                 print(f"{key:22s} {value}")
             _emit(out_dir, "optimize", args.config, rc, {"plan.json": payload}, started)
         elif args.subcommand == "sweep":
-            values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+            values = _parse_float_list(args.values, "--values")
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
             results = cmd_sweep(rc, args.axis, values)

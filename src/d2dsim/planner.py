@@ -143,7 +143,8 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec, params: Syst
     The floor is (1 - mu) times the single-tier coverage; the analytic
     coverage is nondecreasing in the radius, so bisection applies.  Returns
     0 when no guard zone is needed and raises when even ``delta_max``
-    (default three mean cell radii) cannot meet the floor.
+    (default three mean cell radii) cannot meet the floor.  The probes do not
+    warn; a returned radius beyond the tight keep-out radius warns once.
     """
     if not 0 <= p_s_star <= 1:
         raise ParameterError("p_s_star must be in [0, 1]")
@@ -152,7 +153,8 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec, params: Syst
     density = p_s_star * params.lambda_d
 
     def coverage(delta):
-        return analytic.cellular_coverage(constraint.gamma, density, delta, params, quad)
+        return analytic.cellular_coverage(constraint.gamma, density, delta, params, quad,
+                                          warn=False)
 
     if coverage(0.0) >= target:
         return 0.0
@@ -170,6 +172,7 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec, params: Syst
             hi = mid
         else:
             lo = mid
+    analytic.warn_if_loose(hi, params.lambda_m)
     return hi
 
 
@@ -186,7 +189,7 @@ def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec,
     g = optimal_sir_threshold(p_s, params)
     p_max = analytic.max_cellular_coverage(params, quad)
     coverage = analytic.cellular_coverage(constraint.gamma, p_s * params.lambda_d,
-                                          delta, params, quad)
+                                          delta, params, quad, warn=False)   # solve warned
     return PlanResult(
         delta_star=delta,
         p_s_star=p_s,

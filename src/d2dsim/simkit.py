@@ -49,10 +49,15 @@ class ExperimentConfig:
             raise ParameterError("need at least one realization")
         if self.n_jobs < 1:
             raise ParameterError("n_jobs must be positive")
+        if not 0 <= self.rate_ceiling < math.inf:
+            raise ParameterError("rate_ceiling must be finite and nonnegative")
 
     def radio_params(self) -> radio.RadioParams:
-        return radio.RadioParams(alpha=self.params.alpha, p_c_mw=self.params.p_c_mw,
-                                 p_d_mw=self.params.p_d_mw)
+        return _radio_params(self.params)
+
+
+def _radio_params(params: SystemParams) -> radio.RadioParams:
+    return radio.RadioParams(alpha=params.alpha, p_c_mw=params.p_c_mw, p_d_mw=params.p_d_mw)
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,8 @@ def _sample_realization(params: SystemParams, window: Window, seed: int, index: 
         tx = spatial.sample_ppp(params.lambda_d, window, rng)
         pairs = spatial.place_d2d_pairs(tx, params.d, rng)
         n, nb = len(tx), len(bs)
-        tx_ids = [("d2d", j) for j in range(n)] + [("cell", k) for k in range(nb)]
-        rx_ids = [("d2drx", i) for i in range(n)] + [("bs", b) for b in range(nb)]
+        tx_ids = radio.KindRuns(("d2d", n), ("cell", nb))
+        rx_ids = radio.KindRuns(("d2drx", n), ("bs", nb))
         fading_est = radio.draw_fading(tx_ids, rx_ids, rng, phase_tag=radio.ESTIMATION)
         if refresh_fading:
             fading_data = radio.draw_fading(tx_ids, rx_ids, rng, phase_tag=radio.DATA)
@@ -178,43 +183,46 @@ def _capped_rate(sir: np.ndarray, ceiling: float) -> np.ndarray:
     return np.where(np.isinf(sir), ceiling, rate)
 
 
+def _data_phase(active: ActiveSet, links: np.ndarray, real: Realization,
+                rp: radio.RadioParams, refresh_fading: bool):
+    """Received powers for the data phase, and the active links' positions in them.
+
+    The estimation phase's matrix is sliced under coherent fading and
+    re-faded (same pathloss) under refreshed fading; schemes without an
+    estimation phase get a matrix over the active links alone.
+    """
+    measured = active.powers
+    if measured is None:
+        return radio.LinkPowers.build(links, real.pairs, real.assoc, real.fading_data, rp), None
+    on_air = np.searchsorted(measured.links, links)
+    if refresh_fading:
+        return measured.refade(on_air, real.fading_data), None
+    return measured, on_air
+
+
 def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
     """Sample one network, apply the scheme, and measure the data phase."""
     real = sample_realization(config, index)
     rp = config.radio_params()
     params = config.params
     active: ActiveSet = access.apply_scheme(config.scheme, real, real.fading_est, rp)
-
-    n_inf = 0
-    if len(active.active_ids):
-        _, sig, inter = radio.d2d_sir_values(active.active_ids, active.active_ids,
-                                             real.pairs, real.assoc, real.fading_data, rp)
-        sir_d = np.where(inter > 0, sig / np.where(inter > 0, inter, 1.0), np.inf)
-        n_inf += int(np.isinf(sir_d).sum())
-        d2d_successes = int((sir_d > params.beta).sum())
-        d2d_shannon = float(_capped_rate(sir_d, config.rate_ceiling).sum())
-    else:
-        sir_d = np.zeros(0)
-        d2d_successes = 0
-        d2d_shannon = 0.0
-
-    _, sig_c, inter_c = radio.cellular_sir_values(active.active_ids, real.assoc,
-                                                  real.pairs, real.fading_data, rp)
-    sir_c = np.where(inter_c > 0, sig_c / np.where(inter_c > 0, inter_c, 1.0), np.inf)
-    n_inf += int(np.isinf(sir_c).sum())
+    links = radio.link_ids(active)
+    powers, on_air = _data_phase(active, links, real, rp, config.refresh_fading_between_phases)
+    sir_d = radio.sir(*powers.d2d(on_air))
+    sir_c = radio.sir(*powers.cellular(on_air))
 
     keep_samples = config.collect_sir_samples or len(config.ccdf_points_db) > 0
     return RealizationMetrics(
         index=index,
         n_potential=len(real.pairs),
         n_candidates=len(active.candidate_ids),
-        n_active=len(active.active_ids),
-        d2d_successes=d2d_successes,
-        d2d_shannon_sum=d2d_shannon,
+        n_active=len(links),
+        d2d_successes=int((sir_d > params.beta).sum()),
+        d2d_shannon_sum=float(_capped_rate(sir_d, config.rate_ceiling).sum()),
         cellular_covered=int((sir_c > params.gamma).sum()),
         n_cells=len(real.assoc),
         cellular_shannon_sum=float(_capped_rate(sir_c, config.rate_ceiling).sum()),
-        n_infinite_sir=n_inf,
+        n_infinite_sir=int(np.isinf(sir_d).sum()) + int(np.isinf(sir_c).sum()),
         resample_attempts=real.resample_attempts,
         sir_samples_d2d=tuple(sir_d.tolist()) if keep_samples else (),
         sir_samples_cell=tuple(sir_c.tolist()) if keep_samples else (),
@@ -352,73 +360,37 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
     """Measured ASE/coverage for every (guard radius, admitted fraction) pair.
 
     Shares each sampled realization across the whole grid (common random
-    numbers): admitted sets under the top-fraction rule are nested in p_s,
-    so one estimated-SIR sort plus prefix sums yields every p_s at once.
+    numbers): one received-power matrix over every link serves all guard
+    radii, and since admitted sets under the top-fraction rule are nested in
+    p_s, one estimated-SIR sort plus prefix sums yields every p_s at once.
     Returns {(delta, p_s): {"ase", "coverage", "ase_se", "coverage_se", "n"}}.
     """
     window = window or Window(3000.0, 3000.0)
     deltas = [float(x) for x in deltas]
     ps_values = [float(x) for x in ps_values]
-    if min(ps_values) < 0 or max(ps_values) > 1:
+    if not all(0 <= ps <= 1 for ps in ps_values):
         raise ParameterError("p_s values must lie in [0, 1]")
     area = window.area
     log2_beta = math.log2(1.0 + params.beta)
-    alpha = params.alpha
+    rp = _radio_params(params)
 
     ase = {key: [] for key in ((dl, ps) for dl in deltas for ps in ps_values)}
     cov = {key: [] for key in ase}
     for index in range(n_realizations):
         real = _sample_realization(params, window, seed, index, refresh_fading=False)
-        n, nb = len(real.pairs), len(real.bs)
-        txy = real.pairs.transmitters.xy
-        p_dd = params.p_d_mw * real.fading_est.block("d2d", "d2drx") \
-            * spatial.pairwise_distance(txy, real.pairs.receivers.xy, window) ** -alpha \
-            if n else np.zeros((0, 0))
-        i_cell = (params.p_c_mw * real.fading_est.block("cell", "d2drx")
-                  * spatial.pairwise_distance(real.assoc.users.xy, real.pairs.receivers.xy,
-                                              window) ** -alpha).sum(axis=0) if n else np.zeros(0)
-        p_db = params.p_d_mw * real.fading_est.block("d2d", "bs") \
-            * spatial.pairwise_distance(txy, real.bs.xy, window) ** -alpha \
-            if n else np.zeros((0, nb))
-        p_cc = params.p_c_mw * real.fading_est.block("cell", "bs") \
-            * spatial.pairwise_distance(real.assoc.users.xy, real.bs.xy, window) ** -alpha
-        sig_c = p_cc.diagonal()
-        base_ic = p_cc.sum(axis=0) - sig_c
-
+        powers = radio.LinkPowers.build(np.arange(len(real.pairs)), real.pairs, real.assoc,
+                                        real.fading_est, rp)
         for delta in deltas:
             cand = np.flatnonzero(spatial.outside_holes_mask(real.pairs.transmitters,
                                                              real.bs, delta))
-            ncand = len(cand)
-            if ncand == 0:
-                sir_c0 = np.where(base_ic > 0, sig_c / np.where(base_ic > 0, base_ic, 1.0), np.inf)
-                cov0 = float((sir_c0 > params.gamma).mean())
-                for ps in ps_values:
-                    ase[(delta, ps)].append(0.0)
-                    cov[(delta, ps)].append(cov0)
-                continue
-            m = p_dd[np.ix_(cand, cand)]
-            own = m.diagonal()
-            est = np.where(m.sum(axis=0) - own + i_cell[cand] > 0,
-                           own / np.maximum(m.sum(axis=0) - own + i_cell[cand], 1e-300), np.inf)
-            order = np.lexsort((cand, -est))     # best estimated SIR first, id tiebreak
-            ms = m[np.ix_(order, order)]
-            own_s = ms.diagonal()
-            cum_d2d = np.cumsum(ms, axis=0)      # cum_d2d[k-1, m] = power at rx m from top-k
-            i_cell_s = i_cell[cand][order]
-            cum_bs = np.cumsum(p_db[cand[order]], axis=0) if nb else np.zeros((ncand, 0))
-            for ps in ps_values:
-                k = math.ceil(ps * ncand)
-                if k == 0:
-                    inter_c = base_ic
-                    n_success = 0
-                else:
-                    inter = cum_d2d[k - 1, :k] - own_s[:k] + i_cell_s[:k]
-                    sir = np.where(inter > 0, own_s[:k] / np.maximum(inter, 1e-300), np.inf)
-                    n_success = int((sir > params.beta).sum())
-                    inter_c = base_ic + cum_bs[k - 1]
-                sir_c = np.where(inter_c > 0, sig_c / np.maximum(inter_c, 1e-300), np.inf)
+            est = radio.sir(*powers.d2d(cand))
+            ranked = cand[np.lexsort((cand, -est))]     # best estimated SIR first, id tiebreak
+            counts = [math.ceil(ps * len(cand)) for ps in ps_values]
+            for ps, (sig, inter, inter_c) in zip(ps_values, powers.nested(ranked, counts)):
+                n_success = int((radio.sir(sig, inter) > params.beta).sum())
+                covered = radio.sir(powers.cell_signal, inter_c) > params.gamma
                 ase[(delta, ps)].append(n_success * log2_beta / area)
-                cov[(delta, ps)].append(float((sir_c > params.gamma).mean()))
+                cov[(delta, ps)].append(float(covered.mean()))
 
     out = {}
     for key in ase:

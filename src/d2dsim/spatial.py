@@ -26,8 +26,9 @@ class Window:
     topology: str = TORUS
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ParameterError(f"window sides must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
+            raise ParameterError(
+                f"window sides must be positive and finite, got {self.width}x{self.height}")
         if self.topology not in (TORUS, BOUNDED):
             raise ParameterError(f"unknown topology {self.topology!r}")
 
@@ -46,20 +47,30 @@ class Window:
         return (x >= 0) & (x < self.width) & (y >= 0) & (y < self.height)
 
 
-def pairwise_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window) -> np.ndarray:
+def pairwise_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window,
+                      squared: bool = False) -> np.ndarray:
     """Distance matrix (len(a), len(b)) under the window's topology.
 
     On the torus each axis takes the shorter of the direct and wrapped
     separation, which is exactly the minimum over the 9 periodic images.
+    ``squared`` returns squared distances, built in place without ``hypot``.
     """
     a_xy = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b_xy = np.asarray(b_xy, dtype=float).reshape(-1, 2)
-    dx = np.abs(a_xy[:, None, 0] - b_xy[None, :, 0])
-    dy = np.abs(a_xy[:, None, 1] - b_xy[None, :, 1])
+    dx = np.subtract.outer(a_xy[:, 0], b_xy[:, 0])
+    dy = np.subtract.outer(a_xy[:, 1], b_xy[:, 1])
+    np.abs(dx, out=dx)
+    np.abs(dy, out=dy)
     if window.topology == TORUS:
-        dx = np.minimum(dx, window.width - dx)
-        dy = np.minimum(dy, window.height - dy)
-    return np.hypot(dx, dy)
+        wrapped = np.subtract(window.width, dx)
+        np.minimum(dx, wrapped, out=dx)
+        np.subtract(window.height, dy, out=wrapped)
+        np.minimum(dy, wrapped, out=dy)
+    if not squared:
+        return np.hypot(dx, dy, out=dx)
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    return np.add(dx, dy, out=dx)
 
 
 def paired_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window) -> np.ndarray:

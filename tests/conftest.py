@@ -6,6 +6,21 @@ from d2dsim.spatial import Window
 
 BETA_5DB = 10.0 ** 0.5
 
+# Long Monte Carlo runs, skipped by `pytest -m "not slow"`: criterion 3
+# (about 140 s on one core; 420 s before the shared power kernel) and every
+# user of the module-scoped comparison fixture (about 25 s to build; 70 s
+# before).  They are marked here, by name, so the acceptance module stays
+# as written.
+SLOW_TESTS = {"test_criterion_3_comparison_table_reproduction"}
+SLOW_FIXTURES = {"comparison"}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if getattr(item, "originalname", None) in SLOW_TESTS \
+                or SLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
 
 def make_params(lambda_d=6e-5, lambda_m=1e-6, d=50.0, alpha=4.0, p_c_mw=10.0,
                 p_d_mw=0.1, beta=BETA_5DB, gamma=1.0) -> SystemParams:

@@ -172,3 +172,25 @@ class TestCompareCommand:
         csv_lines = (out / "compare.csv").read_text().strip().splitlines()
         assert csv_lines[0].startswith("scheme,")
         assert len(csv_lines) == 3
+
+
+NONFINITE_CASES = [
+    # (extra config lines, extra CLI arguments, field named in the error)
+    ("scheme.kind = guard_zone_only\nscheme.delta = nan\n", (), "scheme.delta"),
+    ("rate_ceiling = nan\n", (), "rate_ceiling"),
+    ("lambda_d = nan\n", (), "lambda_d"),
+    ("window_m = inf\n", (), "window_m"),
+    ("ccdf_points_db = 1,x\n", (), "ccdf_points_db"),
+    ("scheme.kind = guard_zone_only\nscheme.delta = 0\n",
+     ("--axis", "delta", "--values", "1,x"), "--values"),
+]
+
+
+@pytest.mark.parametrize("extra, argv, field", NONFINITE_CASES,
+                         ids=[case[2] for case in NONFINITE_CASES])
+def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, extra, argv, field):
+    path = write_config(tmp_path, TABLE_CONFIG + "n_realizations = 1\n" + extra)
+    subcommand = "sweep" if argv else "simulate"
+    code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
+    assert code == 2
+    assert field in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from d2dsim import analytic, planner
-from d2dsim.errors import InfeasibleError, ParameterError
+from d2dsim.errors import ApproximationWarning, InfeasibleError, ParameterError
 from d2dsim.planner import ConstraintSpec
 
 from conftest import make_params
@@ -143,6 +144,42 @@ class TestSolveGuardRadius:
         params = make_params(lambda_d=1e-3)
         with pytest.raises(InfeasibleError):
             planner.solve_guard_radius(1.0, ConstraintSpec(mu=1e-6, gamma=1.0), params)
+
+    def test_one_warning_carrying_the_returned_radius(self, params6):
+        # at mu = 0.1 the radius lands far beyond the tight 282 m, and so do
+        # most bisection probes; only the answer may warn
+        tight = 1.0 / (2.0 * math.sqrt(math.pi * params6.lambda_m))   # about 282 m
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            delta = planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.1, gamma=1.0),
+                                               params6)
+        approx = [w for w in caught if issubclass(w.category, ApproximationWarning)]
+        assert delta > tight
+        assert len(approx) == 1
+        assert f"{delta:.1f} m" in str(approx[0].message)
+
+    def test_plan_warns_once_for_its_radius(self, params6):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.1, gamma=1.0))
+        approx = [w for w in caught if issubclass(w.category, ApproximationWarning)]
+        assert len(approx) == 1
+        assert f"{plan.delta_star:.1f} m" in str(approx[0].message)
+
+
+class TestSingleTierCeilingCache:
+    def test_cached_value_equals_uncached(self, params6):
+        uncached = analytic.cellular_coverage(params6.gamma, 0.0, 0.0, params6)
+        assert analytic.max_cellular_coverage(params6) == uncached
+        assert analytic.max_cellular_coverage(params6, analytic.DEFAULT_QUAD) == uncached
+
+    def test_repeated_plan_evaluates_the_ceiling_once(self, params6):
+        analytic._max_cellular_coverage.cache_clear()
+        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        first = planner.decoupled_optimize(params6, constraint)
+        second = planner.decoupled_optimize(params6, constraint)
+        assert first == second
+        assert analytic._max_cellular_coverage.cache_info().misses == 1
 
 
 class TestDecoupledOptimize:

@@ -74,6 +74,27 @@ class TestDrawFading:
         assert table.gain(("cell", 0), ("d2drx", 0)) == table.block("cell", "d2drx")[0, 0]
 
 
+    def test_kind_runs_match_explicit_ids(self):
+        runs = radio.draw_fading(radio.KindRuns(("d2d", 3), ("cell", 2)),
+                                 radio.KindRuns(("d2drx", 3), ("bs", 2)), seeded(7))
+        explicit = radio.draw_fading([("d2d", j) for j in range(3)] + [("cell", k) for k in range(2)],
+                                     [("d2drx", i) for i in range(3)] + [("bs", b) for b in range(2)],
+                                     seeded(7))
+        assert np.array_equal(runs.gains, explicit.gains)
+        assert list(runs.tx_ids) == list(explicit.tx_ids)
+        assert runs.gain(("cell", 1), ("d2drx", 2)) == explicit.gain(("cell", 1), ("d2drx", 2))
+        assert np.array_equal(runs.block("d2d", "bs"), explicit.block("d2d", "bs"))
+
+    def test_tables_are_read_only_and_never_alias_a_caller_array(self):
+        assert not radio.draw_fading([("d2d", 0)], [("d2drx", 0)], seeded(8)).gains.flags.writeable
+        gains = np.ones((1, 1))
+        table = FadingTable(gains=gains, tx_ids=(("d2d", 0),), rx_ids=(("d2drx", 0),))
+        gains[0, 0] = 5.0
+        assert table.gain(("d2d", 0), ("d2drx", 0)) == 1.0
+        with pytest.raises(ValueError):
+            table.gains[0, 0] = 5.0
+
+
 class TestSirD2D:
     def test_single_interferer_hand_value(self, window):
         # signal: 0.1 * 50^-4; interference: one uplink user 500 m from the receiver
