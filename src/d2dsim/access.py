@@ -100,7 +100,6 @@ class ActiveSet:
 
     active_ids: frozenset
     candidate_ids: frozenset
-    estimated_sir: dict = field(default_factory=dict)
     powers: radio.LinkPowers | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -139,8 +138,7 @@ def stage2_threshold(estimated: dict, g: float) -> ActiveSet:
     if not g > 0:
         raise ParameterError("SIR threshold must be positive")
     active = frozenset(i for i, v in estimated.items() if v > g)
-    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated),
-                     estimated_sir=dict(estimated))
+    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))
 
 
 def stage2_top_fraction(estimated: dict, p_s: float) -> ActiveSet:
@@ -153,8 +151,7 @@ def stage2_top_fraction(estimated: dict, p_s: float) -> ActiveSet:
     k = math.ceil(p_s * len(estimated))
     ranked = sorted(estimated, key=lambda i: (-estimated[i], i))
     active = frozenset(ranked[:k])
-    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated),
-                     estimated_sir=dict(estimated))
+    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))
 
 
 def channel_aware_activate(pairs: spatial.D2DPairSet, candidate_ids,
@@ -175,8 +172,7 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidate_ids,
         if p_s == 0:
             return ActiveSet(frozenset(), frozenset(candidates.tolist()))
         g_min = -math.log(p_s) / pairs.link_length ** params.alpha
-    own_gain = fading.block("d2d", "d2drx")[candidates, candidates] \
-        * pairs.link_length ** -params.alpha
+    own_gain = fading.gains[candidates, candidates] * pairs.link_length ** -params.alpha
     return ActiveSet(active_ids=frozenset(candidates[own_gain > g_min].tolist()),
                      candidate_ids=frozenset(candidates.tolist()))
 

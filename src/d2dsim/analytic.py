@@ -287,11 +287,7 @@ def access_prob_from_threshold(g: float, params: SystemParams) -> float:
     """Fraction of candidate D2D links whose estimated SIR beats threshold ``g``."""
     if g < 0:
         raise ParameterError("threshold must be nonnegative")
-    if g == 0:
-        return 1.0
-    c = DerivedConstants.from_params(params)
-    return math.exp(-c.xi * g ** (2.0 / params.alpha)
-                    * (params.lambda_d + c.kappa * params.lambda_m))
+    return 1.0 if g == 0 else d2d_success_prob(g, params)
 
 
 def threshold_from_access_prob(p_s: float, params: SystemParams) -> float:

@@ -195,12 +195,15 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"invalid window config: {exc}") from None
     ccdf = tuple(_parse_float_list(merged["ccdf_points_db"], "config field 'ccdf_points_db'"))
+    seed = _get_int(merged, "seed")
+    if seed < 0:
+        raise ConfigError(f"config field 'seed' must be nonnegative, got {seed}")
     return RunConfig(
         params=params,
         scheme=scheme,
         window=window,
         n_realizations=_get_int(merged, "n_realizations"),
-        seed=_get_int(merged, "seed"),
+        seed=seed,
         n_jobs=_get_int(merged, "n_jobs"),
         mu=mu,
         rate_ceiling=_get_float(merged, "rate_ceiling"),

@@ -12,72 +12,12 @@ out signals as diagonals and interference as column sums.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .spatial import CellAssociation, D2DPairSet, pairwise_distance
-
-ESTIMATION = "estimation"
-DATA = "data"
-
-
-class KindRuns(Sequence):
-    """The ids (kind, 0), ..., (kind, count - 1) of each (kind, count) run, in order.
-
-    Stands in for an explicit id tuple, so a fading table can be laid out
-    without building one Python tuple per transmitter and receiver.
-    """
-
-    def __init__(self, *runs):
-        self.runs = tuple((kind, int(count)) for kind, count in runs)
-        self._len = sum(count for _, count in self.runs)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        for kind, count in self.runs:
-            for index in range(count):
-                yield (kind, index)
-
-    def __getitem__(self, pos: int):
-        if pos < 0:
-            pos += self._len
-        if not 0 <= pos < self._len:
-            raise IndexError("id position out of range")
-        for kind, count in self.runs:
-            if pos < count:
-                return (kind, pos)
-            pos -= count
-
-    def __repr__(self) -> str:
-        return f"KindRuns{self.runs!r}"
-
-
-def _kind_slices(ids) -> dict:
-    """Slice per id kind; ids of one kind must be stored contiguously."""
-    slices: dict = {}
-    if isinstance(ids, KindRuns):
-        start = 0
-        for kind, count in ids.runs:
-            if kind in slices:
-                raise ParameterError(f"ids of kind {kind!r} are not contiguous")
-            slices[kind] = [start, start + count]
-            start += count
-    else:
-        for pos, ident in enumerate(ids):
-            kind = ident[0]
-            if kind not in slices:
-                slices[kind] = [pos, pos + 1]
-            elif slices[kind][1] == pos:
-                slices[kind][1] = pos + 1
-            else:
-                raise ParameterError(f"ids of kind {kind!r} are not contiguous")
-    return {k: slice(a, b) for k, (a, b) in slices.items()}
 
 
 def _take(matrix: np.ndarray, rows, cols) -> np.ndarray:
@@ -85,129 +25,72 @@ def _take(matrix: np.ndarray, rows, cols) -> np.ndarray:
     return matrix[rows][:, cols]
 
 
-def _positions(slices: dict, kind: str, index: np.ndarray) -> np.ndarray:
-    """Table positions of the ids (kind, i) for i in ``index``."""
-    block = slices.get(kind, slice(0, 0))
-    if len(index) and (index.min() < 0 or index.max() >= block.stop - block.start):
-        raise ParameterError(f"the fading table has no {kind!r} id for some link")
-    return block.start + index
-
-
 @dataclass(frozen=True)
 class RadioParams:
-    """Transmit powers and the power-law pathloss exponent.
-
-    ``noise_mw`` is reserved for future use and must stay 0: the model is
-    interference limited by construction.
-    """
+    """Transmit powers and the power-law pathloss exponent (no noise term)."""
 
     alpha: float
     p_c_mw: float
     p_d_mw: float
-    noise_mw: float = 0.0
 
     def __post_init__(self):
         if not 2 < self.alpha < math.inf:
             raise ParameterError(f"pathloss exponent must be finite and exceed 2, got {self.alpha}")
         if not (0 < self.p_c_mw < math.inf and 0 < self.p_d_mw < math.inf):
             raise ParameterError("transmit powers must be positive and finite")
-        if self.noise_mw != 0.0:
-            raise ParameterError("noise is out of scope; noise_mw must be 0")
-
-
-def pathloss(distance, alpha: float):
-    """Power-law attenuation ``distance ** -alpha``; singular at 0."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise ParameterError("pathloss is singular at distance <= 0")
-    out = d ** -alpha
-    return float(out) if np.isscalar(distance) else out
 
 
 @dataclass(frozen=True)
 class FadingTable:
-    """i.i.d. unit-mean exponential power gains for a (tx, rx) id grid.
+    """i.i.d. unit-mean exponential power gains laid out like :func:`d2d_power_matrix`.
 
-    ``phase_tag`` records intent only (test-signal phase vs data phase);
-    reusing one table across both phases models a coherence interval that
-    spans the whole transmission.  An owned, read-only gain array (as
-    :func:`draw_fading` makes) is kept as is; anything else is copied.
+    Rows are the ``n_links`` D2D transmitters then one uplink user per cell;
+    columns are the D2D receivers then the base stations, so user ``u`` and
+    base station ``u`` both sit at ``n_links + u``.  Reusing one table across
+    both protocol phases models a coherence interval that spans the whole
+    transmission.  An owned, read-only gain array (as :func:`draw_fading`
+    makes) is kept as is; anything else is copied.
     """
 
     gains: np.ndarray
-    tx_ids: Sequence
-    rx_ids: Sequence
-    phase_tag: str = DATA
+    n_links: int
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
-        if gains.shape != (len(self.tx_ids), len(self.rx_ids)):
-            raise ParameterError("gain matrix shape does not match the id lists")
+        if gains.ndim != 2 or gains.shape[0] != gains.shape[1] \
+                or not 0 <= self.n_links <= gains.shape[0]:
+            raise ParameterError("gain matrix must be square with a row per link and per cell")
         if gains.size and gains.min() < 0:
             raise ParameterError("fading gains must be nonnegative")
         if gains.flags.writeable or not gains.flags.owndata:
             gains = gains.copy()
             gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "_tx_slices", _kind_slices(self.tx_ids))
-        object.__setattr__(self, "_rx_slices", _kind_slices(self.rx_ids))
-
-    @cached_property
-    def _index(self) -> tuple[dict, dict]:
-        return ({t: i for i, t in enumerate(self.tx_ids)},
-                {r: i for i, r in enumerate(self.rx_ids)})
-
-    def gain(self, tx_id, rx_id) -> float:
-        tx_index, rx_index = self._index
-        return float(self.gains[tx_index[tx_id], rx_index[rx_id]])
-
-    def block(self, tx_kind: str, rx_kind: str) -> np.ndarray:
-        """Zero-copy sub-matrix for ids of the form (kind, index)."""
-        return self.gains[self._tx_slices.get(tx_kind, slice(0, 0)),
-                          self._rx_slices.get(rx_kind, slice(0, 0))]
 
     def for_links(self, tx: np.ndarray, rx: np.ndarray, n_cells: int) -> np.ndarray:
-        """Gains laid out like :func:`d2d_power_matrix` with the cellular tier.
+        """Gains from links ``tx`` then ``n_cells`` users to links ``rx`` then their BSs.
 
-        Rows are ``("d2d", tx)`` then ``n_cells`` uplink users, columns
-        ``("d2drx", rx)`` then ``n_cells`` base stations.  Zero-copy when that
-        is the whole table in stored order.
+        Zero-copy when that is the whole table in stored order.
         """
-        cells = np.arange(n_cells)
-        rows = np.concatenate([_positions(self._tx_slices, "d2d", tx),
-                               _positions(self._tx_slices, "cell", cells)])
-        cols = np.concatenate([_positions(self._rx_slices, "d2drx", rx),
-                               _positions(self._rx_slices, "bs", cells)])
-        if (rows.size, cols.size) == self.gains.shape \
-                and np.array_equal(rows, np.arange(rows.size)) \
-                and np.array_equal(cols, np.arange(cols.size)):
+        for links in (tx, rx):
+            if len(links) and (links.min() < 0 or links.max() >= self.n_links):
+                raise ParameterError("the fading table has no gains for some link")
+        if n_cells > len(self.gains) - self.n_links:
+            raise ParameterError("the fading table has no gains for some cell")
+        cells = np.arange(self.n_links, self.n_links + n_cells)
+        rows = np.concatenate([tx, cells])
+        cols = np.concatenate([rx, cells])
+        if rows.size == len(self.gains) and np.array_equal(rows, np.arange(rows.size)) \
+                and np.array_equal(cols, rows):
             return self.gains
         return _take(self.gains, rows, cols)
 
 
-def draw_fading(tx_ids, rx_ids, rng: np.random.Generator, phase_tag: str = DATA) -> FadingTable:
-    """Draw an i.i.d. Exp(1) gain for every (tx, rx) pair."""
-    gains = rng.standard_exponential(size=(len(tx_ids), len(rx_ids)))
+def draw_fading(n_links: int, n_cells: int, rng: np.random.Generator) -> FadingTable:
+    """Draw an i.i.d. Exp(1) gain for every (transmitter, receiver) pair."""
+    gains = rng.standard_exponential(size=(n_links + n_cells, n_links + n_cells))
     gains.flags.writeable = False
-    if not isinstance(tx_ids, KindRuns):
-        tx_ids = tuple(tx_ids)
-    if not isinstance(rx_ids, KindRuns):
-        rx_ids = tuple(rx_ids)
-    return FadingTable(gains=gains, tx_ids=tx_ids, rx_ids=rx_ids, phase_tag=phase_tag)
-
-
-@dataclass(frozen=True)
-class SirSample:
-    """SIR of one link, with the raw signal/interference powers in mW."""
-
-    link_id: int
-    sir: float
-    signal_mw: float
-    interference_mw: float
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.sir)
+    return FadingTable(gains=gains, n_links=n_links)
 
 
 def link_ids(active) -> np.ndarray:
@@ -388,23 +271,3 @@ def cellular_sir_values(active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
     powers = LinkPowers.build(link_ids(active_d2d), pairs, assoc, fading, params)
     signal, inter = powers.cellular()
     return np.arange(len(assoc)), signal, inter
-
-
-def _to_sample(link_id: int, signal: float, interference: float) -> SirSample:
-    sir = signal / interference if interference > 0 else math.inf
-    return SirSample(link_id=int(link_id), sir=float(sir), signal_mw=float(signal),
-                     interference_mw=float(interference))
-
-
-def sir_d2d(i: int, active, assoc: CellAssociation, pairs: D2DPairSet,
-            fading: FadingTable, params: RadioParams) -> SirSample:
-    """SIR at the receiver of D2D link ``i`` while ``active`` links transmit."""
-    ids, signal, inter = d2d_sir_values(active, [i], pairs, assoc, fading, params)
-    return _to_sample(ids[0], signal[0], inter[0])
-
-
-def sir_cellular(i: int, active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
-                 fading: FadingTable, params: RadioParams) -> SirSample:
-    """SIR at base station ``i`` with its own uplink user as the signal."""
-    ids, signal, inter = cellular_sir_values(active_d2d, assoc, pairs, fading, params)
-    return _to_sample(ids[i], signal[i], inter[i])

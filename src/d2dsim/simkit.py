@@ -13,6 +13,7 @@ import dataclasses
 import io
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +47,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n_realizations < 1:
-            raise ParameterError("need at least one realization")
+            raise ParameterError(
+                f"need at least one realization, got n_realizations={self.n_realizations}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.n_jobs < 1:
             raise ParameterError("n_jobs must be positive")
         if not 0 <= self.rate_ceiling < math.inf:
@@ -160,11 +164,9 @@ def _sample_realization(params: SystemParams, window: Window, seed: int, index: 
         tx = spatial.sample_ppp(params.lambda_d, window, rng)
         pairs = spatial.place_d2d_pairs(tx, params.d, rng)
         n, nb = len(tx), len(bs)
-        tx_ids = radio.KindRuns(("d2d", n), ("cell", nb))
-        rx_ids = radio.KindRuns(("d2drx", n), ("bs", nb))
-        fading_est = radio.draw_fading(tx_ids, rx_ids, rng, phase_tag=radio.ESTIMATION)
+        fading_est = radio.draw_fading(n, nb, rng)
         if refresh_fading:
-            fading_data = radio.draw_fading(tx_ids, rx_ids, rng, phase_tag=radio.DATA)
+            fading_data = radio.draw_fading(n, nb, rng)
         else:
             fading_data = fading_est   # coherent across both protocol phases
         return Realization(index=index, bs=bs, assoc=assoc, pairs=pairs,
@@ -234,10 +236,10 @@ def _run_realization_task(args):
     return run_realization(config, index)
 
 
-def _stat(values, n_min: int = 1) -> MetricStat:
+def _stat(values) -> MetricStat:
     arr = np.asarray([v for v in values if not (v is None or (isinstance(v, float) and math.isnan(v)))],
                      dtype=float)
-    if len(arr) < n_min or len(arr) == 0:
+    if len(arr) == 0:
         return MetricStat(mean=math.nan, ci_low=math.nan, ci_high=math.nan, n=len(arr))
     mean = float(arr.mean())
     half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
@@ -297,14 +299,18 @@ def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> M
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsReport:
-    """Run all realizations (serially or in a process pool) and aggregate."""
+    """Run all realizations (serially or in a process pool) and aggregate.
+
+    The pool has at most one worker per CPU; with one, the run is serial.
+    """
     indices = range(config.n_realizations)
-    if config.n_jobs == 1:
+    workers = min(config.n_jobs, os.cpu_count() or 1)
+    if workers == 1:
         per_real = [run_realization(config, i) for i in indices]
     else:
         tasks = [(config, i) for i in indices]
-        chunk = max(1, config.n_realizations // (4 * config.n_jobs))
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+        chunk = max(1, config.n_realizations // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_real = list(pool.map(_run_realization_task, tasks, chunksize=chunk))
     per_real.sort(key=lambda m: m.index)   # reduce in index order: worker-count invariant
     return aggregate(config, per_real)
@@ -370,6 +376,8 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
     ps_values = [float(x) for x in ps_values]
     if not all(0 <= ps <= 1 for ps in ps_values):
         raise ParameterError("p_s values must lie in [0, 1]")
+    if n_realizations < 1:
+        raise ParameterError(f"need at least one realization, got n_realizations={n_realizations}")
     area = window.area
     log2_beta = math.log2(1.0 + params.beta)
     rp = _radio_params(params)

@@ -85,11 +85,6 @@ def paired_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window) -> np.nd
     return np.hypot(dx, dy)
 
 
-def toroidal_distance(a, b, window: Window) -> float:
-    """Distance between two points under the window's topology."""
-    return float(paired_distance(np.asarray(a, dtype=float), np.asarray(b, dtype=float), window)[0])
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An immutable batch of planar points tied to a window."""
@@ -109,13 +104,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.xy.shape[0]
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [tuple(p) for p in self.xy]
-
-    def subset(self, mask_or_indices) -> "PointSet":
-        return PointSet(self.xy[mask_or_indices], self.window)
 
 
 @dataclass(frozen=True)
@@ -159,12 +147,6 @@ class CellAssociation:
     def __len__(self) -> int:
         return len(self.bs)
 
-    def user_of_bs(self, i: int) -> tuple[float, float]:
-        return tuple(self.users.xy[i])
-
-    def bs_of_user(self, i: int) -> tuple[float, float]:
-        return tuple(self.bs.xy[i])
-
     def nearest_bs_indices(self) -> np.ndarray:
         """Index of the closest BS to each user (association check)."""
         return np.argmin(pairwise_distance(self.users.xy, self.bs.xy, self.bs.window), axis=1)
@@ -194,11 +176,6 @@ def outside_holes_mask(points: PointSet, hole_centers: PointSet, radius: float) 
         return np.ones(len(points), dtype=bool)
     dist = pairwise_distance(points.xy, hole_centers.xy, points.window)
     return dist.min(axis=1) > radius
-
-
-def punch_holes(candidates: PointSet, hole_centers: PointSet, radius: float) -> PointSet:
-    """Remove candidates within ``radius`` of any hole center."""
-    return candidates.subset(outside_holes_mask(candidates, hole_centers, radius))
 
 
 def place_uplink_users(bs_points: PointSet, rng: np.random.Generator) -> CellAssociation:

@@ -82,7 +82,7 @@ class TestEstimationPhase:
             spatial.PointSet(np.array([[550.0, 500.0]]), window), 50.0)
         assoc = spatial.CellAssociation(bs=spatial.PointSet(np.zeros((0, 2)), window),
                                         users=spatial.PointSet(np.zeros((0, 2)), window))
-        fading = radio.draw_fading([("d2d", 0)], [("d2drx", 0)], seeded())
+        fading = radio.draw_fading(1, 0, seeded())
         rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         est = access.estimation_phase([0], pairs, assoc, fading, rp)
         assert math.isinf(est[0])
@@ -95,9 +95,7 @@ class TestEstimationPhase:
                                    spatial.PointSet(rx, window), 50.0)
         assoc = spatial.CellAssociation(bs=spatial.PointSet(np.zeros((0, 2)), window),
                                         users=spatial.PointSet(np.zeros((0, 2)), window))
-        fading = radio.FadingTable(gains=np.ones((2, 2)),
-                                   tx_ids=(("d2d", 0), ("d2d", 1)),
-                                   rx_ids=(("d2drx", 0), ("d2drx", 1)))
+        fading = radio.FadingTable(gains=np.ones((2, 2)), n_links=2)
         rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         est = access.estimation_phase([0, 1], pairs, assoc, fading, rp)
         cross = math.hypot(50.0, 300.0)
@@ -120,8 +118,9 @@ class TestEstimationPhase:
         n = len(real.pairs)
         est = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, rp)
         for i in (0, n // 2, n - 1):
-            single = radio.sir_d2d(i, range(n), real.assoc, real.pairs, real.fading_est, rp)
-            assert est[i] == pytest.approx(single.sir, rel=1e-12)
+            _, signal, inter = radio.d2d_sir_values(range(n), [i], real.pairs, real.assoc,
+                                                    real.fading_est, rp)
+            assert est[i] == pytest.approx(signal[0] / inter[0], rel=1e-12)
 
 
 class TestStage2Threshold:
@@ -253,11 +252,13 @@ class TestApplyScheme:
                                   real, real.fading_est, rp)
         if not out.active_ids:
             pytest.skip("no active links in this draw")
+        estimated = access.estimation_phase(out.candidate_ids, real.pairs, real.assoc,
+                                            real.fading_est, rp)
         _, sig, inter = radio.d2d_sir_values(out.active_ids, out.active_ids, real.pairs,
                                              real.assoc, real.fading_data, rp)
         for link, s, i in zip(sorted(out.active_ids), sig, inter):
             data_sir = s / i if i > 0 else math.inf
-            assert data_sir >= out.estimated_sir[link] * (1 - 1e-12)
+            assert data_sir >= estimated[link] * (1 - 1e-12)
 
 
 class TestActivationStatistics:

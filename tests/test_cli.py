@@ -183,6 +183,8 @@ NONFINITE_CASES = [
     ("ccdf_points_db = 1,x\n", (), "ccdf_points_db"),
     ("scheme.kind = guard_zone_only\nscheme.delta = 0\n",
      ("--axis", "delta", "--values", "1,x"), "--values"),
+    ("seed = -1\n", (), "seed"),
+    ("", ("--seed", "-1"), "seed"),
 ]
 
 
@@ -190,7 +192,7 @@ NONFINITE_CASES = [
                          ids=[case[2] for case in NONFINITE_CASES])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, extra, argv, field):
     path = write_config(tmp_path, TABLE_CONFIG + "n_realizations = 1\n" + extra)
-    subcommand = "sweep" if argv else "simulate"
+    subcommand = "sweep" if "--axis" in argv else "simulate"
     code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
     assert code == 2
     assert field in capsys.readouterr().err

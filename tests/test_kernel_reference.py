@@ -1,8 +1,8 @@
 """The received-power kernel against a slow per-link reference.
 
 The reference recomputes every SIR of a realization one link at a time, from
-coordinates (``spatial.paired_distance``) and the raw fading gains looked up
-by id, applies each access rule to those SIRs, and must reproduce
+coordinates (``spatial.paired_distance``) and the raw fading gains read by
+position (links first, then cells), applies each access rule to those SIRs, and must reproduce
 ``simkit.run_realization``: counts exactly, Shannon sums to 1e-9 relative.
 """
 import math
@@ -43,29 +43,29 @@ def _ratio(signal, interference):
 def d2d_sir(link, on_air, real, fading, params):
     """SIR at the receiver of ``link`` while ``on_air`` and every uplink user transmit."""
     pairs, assoc, window = real.pairs, real.assoc, real.pairs.window
+    n, gains = len(pairs), fading.gains
     rx = pairs.receivers.xy[link]
     signal = _received(params.p_d_mw, pairs.transmitters.xy[link], rx,
-                       [fading.gain(("d2d", link), ("d2drx", link))], window, params.alpha)
+                       [gains[link, link]], window, params.alpha)
     others = [j for j in sorted(on_air) if j != link]
     d2d = _received(params.p_d_mw, pairs.transmitters.xy[others], rx,
-                    [fading.gain(("d2d", j), ("d2drx", link)) for j in others],
-                    window, params.alpha)
+                    [gains[j, link] for j in others], window, params.alpha)
     cell = _received(params.p_c_mw, assoc.users.xy, rx,
-                     [fading.gain(("cell", u), ("d2drx", link)) for u in range(len(assoc))],
-                     window, params.alpha)
+                     [gains[n + u, link] for u in range(len(assoc))], window, params.alpha)
     return _ratio(signal[0], math.fsum(d2d) + math.fsum(cell))
 
 
 def cellular_sir(b, on_air, real, fading, params):
     """SIR at base station ``b`` from its own user while ``on_air`` transmits."""
     pairs, assoc, window = real.pairs, real.assoc, real.pairs.window
+    n, gains = len(pairs), fading.gains
     bs = assoc.bs.xy[b]
     users = list(range(len(assoc)))
     cell = _received(params.p_c_mw, assoc.users.xy, bs,
-                     [fading.gain(("cell", u), ("bs", b)) for u in users], window, params.alpha)
+                     [gains[n + u, n + b] for u in users], window, params.alpha)
     on_air = sorted(on_air)
     d2d = _received(params.p_d_mw, pairs.transmitters.xy[on_air], bs,
-                    [fading.gain(("d2d", j), ("bs", b)) for j in on_air], window, params.alpha)
+                    [gains[j, n + b] for j in on_air], window, params.alpha)
     return _ratio(cell[b], math.fsum(np.delete(cell, b)) + math.fsum(d2d))
 
 
@@ -85,8 +85,8 @@ def admitted(spec, real, params):
         return cand, set(cand)
     if spec.kind == "channel_aware":
         g_min = -math.log(spec.p_s) / params.d ** params.alpha
-        return cand, {j for j in cand if fading.gain(("d2d", j), ("d2drx", j))
-                      * params.d ** -params.alpha > g_min}
+        return cand, {j for j in cand
+                      if fading.gains[j, j] * params.d ** -params.alpha > g_min}
     est = {j: d2d_sir(j, cand, real, fading, params) for j in cand}
     if spec.kind == "proposed_threshold":
         return cand, {j for j in cand if est[j] > spec.g}

@@ -224,3 +224,9 @@ class TestExhaustiveSearch:
         with pytest.raises(ParameterError):
             planner.exhaustive_search(params2, ConstraintSpec(mu=0.3, gamma=1.0),
                                       deltas=[], ps_values=[0.5], n_realizations=10, seed=1)
+
+    def test_zero_realizations_rejected(self, params2):
+        # NaN coverage never falls below the floor, so an empty sample must not reach the search
+        with pytest.raises(ParameterError, match="n_realizations"):
+            planner.exhaustive_search(params2, ConstraintSpec(mu=0.3, gamma=1.0),
+                                      deltas=[150.0], ps_values=[0.5], n_realizations=0, seed=1)

@@ -13,11 +13,8 @@ def seeded(i=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=888, spawn_key=(i,)))
 
 
-def ones_fading(n_d2d, n_users, n_bs):
-    tx_ids = [("d2d", j) for j in range(n_d2d)] + [("cell", k) for k in range(n_users)]
-    rx_ids = [("d2drx", i) for i in range(n_d2d)] + [("bs", b) for b in range(n_bs)]
-    return FadingTable(gains=np.ones((len(tx_ids), len(rx_ids))), tx_ids=tuple(tx_ids),
-                       rx_ids=tuple(rx_ids))
+def ones_fading(n_d2d, n_cells):
+    return FadingTable(gains=np.ones((n_d2d + n_cells, n_d2d + n_cells)), n_links=n_d2d)
 
 
 def one_link_net(window, user_xy, bs_xy, tx=(1000.0, 1000.0), rx=(1050.0, 1000.0)):
@@ -27,70 +24,70 @@ def one_link_net(window, user_xy, bs_xy, tx=(1000.0, 1000.0), rx=(1050.0, 1000.0
     return pairs, assoc
 
 
+def mean_link_power(window, length, alpha):
+    """Pathloss-only received power of one link at unit transmit power."""
+    pairs = D2DPairSet(PointSet(np.array([[1000.0, 1000.0]]), window),
+                       PointSet(np.array([[1000.0 + length, 1000.0]]), window), length)
+    params = RadioParams(alpha=alpha, p_c_mw=10.0, p_d_mw=1.0)
+    return radio.d2d_power_matrix([0], [0], pairs, None, params)[0, 0]
+
+
 class TestRadioParams:
     def test_alpha_must_exceed_two(self):
         with pytest.raises(ParameterError):
             RadioParams(alpha=2.0, p_c_mw=10.0, p_d_mw=0.1)
 
-    def test_noise_is_out_of_scope(self):
-        with pytest.raises(ParameterError):
-            RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1, noise_mw=1e-12)
-
 
 class TestPathloss:
-    def test_unit_distance(self):
-        assert radio.pathloss(1.0, 3.7) == 1.0
+    def test_unit_distance(self, window):
+        assert mean_link_power(window, 1.0, 3.7) == 1.0
 
-    def test_fifty_meters_alpha_four(self):
-        assert radio.pathloss(50.0, 4.0) == pytest.approx(1.6e-7, rel=1e-12)
+    def test_fifty_meters_alpha_four(self, window):
+        assert mean_link_power(window, 50.0, 4.0) == pytest.approx(1.6e-7, rel=1e-12)
 
-    def test_zero_distance_is_singular(self):
-        with pytest.raises(ParameterError):
-            radio.pathloss(0.0, 4.0)
+    def test_zero_distance_is_singular(self, window):
+        with pytest.raises(NumericalError):
+            mean_link_power(window, 0.0, 4.0)
 
 
 class TestDrawFading:
     def test_empty_ids_give_empty_table(self):
-        table = radio.draw_fading([], [], seeded())
+        table = radio.draw_fading(0, 0, seeded())
         assert table.gains.shape == (0, 0)
 
     def test_unit_mean(self):
-        table = radio.draw_fading([("d2d", j) for j in range(1000)],
-                                  [("d2drx", i) for i in range(1000)], seeded(1))
+        table = radio.draw_fading(1000, 0, seeded(1))
         n = table.gains.size
         assert abs(table.gains.mean() - 1.0) < 3.0 / math.sqrt(n)
 
     def test_exceedance_of_one_is_exp_minus_one(self):
-        table = radio.draw_fading([("d2d", j) for j in range(1000)],
-                                  [("d2drx", i) for i in range(1000)], seeded(2))
+        table = radio.draw_fading(1000, 0, seeded(2))
         p = (table.gains > 1.0).mean()
         target = math.exp(-1.0)
         assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / table.gains.size)
 
-    def test_gain_lookup_matches_block(self):
-        table = radio.draw_fading([("d2d", 0), ("d2d", 1), ("cell", 0)],
-                                  [("d2drx", 0), ("bs", 0)], seeded(3))
-        assert table.gain(("d2d", 1), ("bs", 0)) == table.block("d2d", "bs")[1, 0]
-        assert table.gain(("cell", 0), ("d2drx", 0)) == table.block("cell", "d2drx")[0, 0]
-
-
-    def test_kind_runs_match_explicit_ids(self):
-        runs = radio.draw_fading(radio.KindRuns(("d2d", 3), ("cell", 2)),
-                                 radio.KindRuns(("d2drx", 3), ("bs", 2)), seeded(7))
-        explicit = radio.draw_fading([("d2d", j) for j in range(3)] + [("cell", k) for k in range(2)],
-                                     [("d2drx", i) for i in range(3)] + [("bs", b) for b in range(2)],
-                                     seeded(7))
-        assert np.array_equal(runs.gains, explicit.gains)
-        assert list(runs.tx_ids) == list(explicit.tx_ids)
-        assert runs.gain(("cell", 1), ("d2drx", 2)) == explicit.gain(("cell", 1), ("d2drx", 2))
-        assert np.array_equal(runs.block("d2d", "bs"), explicit.block("d2d", "bs"))
+    def test_for_links_gathers_links_then_cells(self):
+        table = radio.draw_fading(3, 2, seeded(3))
+        assert table.gains.shape == (5, 5)
+        tx, rx = np.array([2, 0]), np.array([1])
+        expected = table.gains[np.ix_([2, 0, 3, 4], [1, 3, 4])]
+        assert np.array_equal(table.for_links(tx, rx, 2), expected)
+        assert np.array_equal(table.for_links(tx, rx, 1), table.gains[np.ix_([2, 0, 3], [1, 3])])
+        everything = np.arange(3)
+        assert table.for_links(everything, everything, 2) is table.gains
+        with pytest.raises(ParameterError):
+            table.for_links(np.array([3]), rx, 2)
+        with pytest.raises(ParameterError):
+            table.for_links(tx, np.array([-1]), 2)
+        with pytest.raises(ParameterError):
+            table.for_links(tx, rx, 3)
 
     def test_tables_are_read_only_and_never_alias_a_caller_array(self):
-        assert not radio.draw_fading([("d2d", 0)], [("d2drx", 0)], seeded(8)).gains.flags.writeable
+        assert not radio.draw_fading(1, 0, seeded(8)).gains.flags.writeable
         gains = np.ones((1, 1))
-        table = FadingTable(gains=gains, tx_ids=(("d2d", 0),), rx_ids=(("d2drx", 0),))
+        table = FadingTable(gains=gains, n_links=1)
         gains[0, 0] = 5.0
-        assert table.gain(("d2d", 0), ("d2drx", 0)) == 1.0
+        assert table.gains[0, 0] == 1.0
         with pytest.raises(ValueError):
             table.gains[0, 0] = 5.0
 
@@ -99,22 +96,23 @@ class TestSirD2D:
     def test_single_interferer_hand_value(self, window):
         # signal: 0.1 * 50^-4; interference: one uplink user 500 m from the receiver
         pairs, assoc = one_link_net(window, user_xy=[[1550.0, 1000.0]], bs_xy=[[2500.0, 2500.0]])
-        fading = ones_fading(1, 1, 1)
+        fading = ones_fading(1, 1)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        sample = radio.sir_d2d(0, [0], assoc, pairs, fading, params)
-        assert sample.sir == pytest.approx(100.0, rel=1e-12)
-        assert sample.signal_mw == pytest.approx(0.1 * 50.0 ** -4, rel=1e-12)
+        ids, signal, inter = radio.d2d_sir_values([0], [0], pairs, assoc, fading, params)
+        assert ids.tolist() == [0]
+        assert radio.sir(signal, inter)[0] == pytest.approx(100.0, rel=1e-12)
+        assert signal[0] == pytest.approx(0.1 * 50.0 ** -4, rel=1e-12)
 
     def test_no_interferers_returns_infinite_sentinel(self, window):
         pairs = D2DPairSet(PointSet(np.array([[1000.0, 1000.0]]), window),
                            PointSet(np.array([[1050.0, 1000.0]]), window), 50.0)
         assoc = CellAssociation(bs=PointSet(np.zeros((0, 2)), window),
                                 users=PointSet(np.zeros((0, 2)), window))
-        fading = ones_fading(1, 0, 0)
+        fading = ones_fading(1, 0)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        sample = radio.sir_d2d(0, [0], assoc, pairs, fading, params)
-        assert sample.infinite
-        assert math.isinf(sample.sir)
+        _, signal, inter = radio.d2d_sir_values([0], [0], pairs, assoc, fading, params)
+        assert inter[0] == 0.0
+        assert math.isinf(radio.sir(signal, inter)[0])
 
     def test_power_scale_invariance(self, window):
         rng = seeded(4)
@@ -123,9 +121,7 @@ class TestSirD2D:
         bs = spatial.sample_ppp(1e-6, window, rng)
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
-        fading = radio.draw_fading(
-            [("d2d", j) for j in range(n)] + [("cell", k) for k in range(nb)],
-            [("d2drx", i) for i in range(n)] + [("bs", b) for b in range(nb)], rng)
+        fading = radio.draw_fading(n, nb, rng)
         base = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         scaled = RadioParams(alpha=4.0, p_c_mw=10.0 * 7.3, p_d_mw=0.1 * 7.3)
         active = range(n)
@@ -143,13 +139,11 @@ class TestSirD2D:
         bs = spatial.sample_ppp(1e-6, window, rng)
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
-        fading = radio.draw_fading(
-            [("d2d", j) for j in range(n)] + [("cell", k) for k in range(nb)],
-            [("d2drx", i) for i in range(n)] + [("bs", b) for b in range(nb)], rng)
+        fading = radio.draw_fading(n, nb, rng)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        full = radio.sir_d2d(0, range(n), assoc, pairs, fading, params)
-        fewer = radio.sir_d2d(0, range(n - 1), assoc, pairs, fading, params)
-        assert fewer.sir >= full.sir
+        full = radio.sir(*radio.d2d_sir_values(range(n), [0], pairs, assoc, fading, params)[1:])
+        fewer = radio.sir(*radio.d2d_sir_values(range(n - 1), [0], pairs, assoc, fading, params)[1:])
+        assert fewer[0] >= full[0]
 
 
 class TestSirCellular:
@@ -159,20 +153,20 @@ class TestSirCellular:
                            PointSet(np.array([[1300.0, 1000.0]]), window), 50.0)
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1000.0, 1500.0]]), window))
-        fading = ones_fading(1, 1, 1)
+        fading = ones_fading(1, 1)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        sample = radio.sir_cellular(0, [0], assoc, pairs, fading, params)
-        assert sample.sir == pytest.approx(6.25, rel=1e-12)
+        _, signal, inter = radio.cellular_sir_values([0], assoc, pairs, fading, params)
+        assert radio.sir(signal, inter)[0] == pytest.approx(6.25, rel=1e-12)
 
     def test_single_cell_no_d2d_is_infinite(self, window):
         pairs = D2DPairSet(PointSet(np.zeros((0, 2)), window),
                            PointSet(np.zeros((0, 2)), window), 50.0)
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1400.0, 1000.0]]), window))
-        fading = ones_fading(0, 1, 1)
+        fading = ones_fading(0, 1)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        sample = radio.sir_cellular(0, [], assoc, pairs, fading, params)
-        assert sample.infinite
+        _, signal, inter = radio.cellular_sir_values([], assoc, pairs, fading, params)
+        assert math.isinf(radio.sir(signal, inter)[0])
 
     def test_interference_decreases_when_active_removed(self, window):
         rng = seeded(6)
@@ -181,9 +175,7 @@ class TestSirCellular:
         bs = spatial.sample_ppp(2e-6, window, rng)
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
-        fading = radio.draw_fading(
-            [("d2d", j) for j in range(n)] + [("cell", k) for k in range(nb)],
-            [("d2drx", i) for i in range(n)] + [("bs", b) for b in range(nb)], rng)
+        fading = radio.draw_fading(n, nb, rng)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         _, _, i_full = radio.cellular_sir_values(range(n), assoc, pairs, fading, params)
         _, _, i_less = radio.cellular_sir_values(range(n - 1), assoc, pairs, fading, params)
@@ -194,7 +186,7 @@ class TestSirCellular:
                            PointSet(np.array([[1050.0, 1000.0]]), window), 50.0)
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1300.0, 1000.0]]), window))
-        fading = ones_fading(1, 1, 1)
+        fading = ones_fading(1, 1)
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         with pytest.raises(NumericalError):
-            radio.sir_cellular(0, [0], assoc, pairs, fading, params)
+            radio.cellular_sir_values([0], assoc, pairs, fading, params)

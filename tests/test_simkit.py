@@ -71,6 +71,17 @@ class TestRunExperiment:
         pooled = simkit.run_experiment(tiny_config(n_jobs=2))
         assert serial == pooled
 
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, cpus):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started with one CPU")
+
+        monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", NoPool)
+        many = simkit.run_experiment(tiny_config(n_jobs=64))
+        assert many == simkit.run_experiment(tiny_config(n_jobs=1))
+
     def test_ci_shrinks_with_realizations(self):
         small = simkit.run_experiment(tiny_config(n_realizations=32))
         large = simkit.run_experiment(tiny_config(n_realizations=512))
@@ -201,3 +212,8 @@ class TestTopFractionGrid:
     def test_rejects_bad_fractions(self):
         with pytest.raises(ParameterError):
             simkit.run_topfraction_grid(make_params(), [100.0], [1.5], 5, 1)
+
+    def test_rejects_zero_realizations(self):
+        # an empty sample would give NaN for every grid cell
+        with pytest.raises(ParameterError, match="n_realizations"):
+            simkit.run_topfraction_grid(make_params(), [100.0], [0.5], 0, 1)

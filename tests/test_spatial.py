@@ -30,28 +30,28 @@ class TestWindow:
 
 class TestToroidalDistance:
     def test_zero_for_identical_points(self, window):
-        assert spatial.toroidal_distance((12.0, 34.0), (12.0, 34.0), window) == 0.0
+        assert spatial.paired_distance([12.0, 34.0], [12.0, 34.0], window)[0] == 0.0
 
     def test_wraparound(self, window):
-        assert spatial.toroidal_distance((0.0, 0.0), (2999.0, 0.0), window) == pytest.approx(1.0)
+        assert spatial.paired_distance([0.0, 0.0], [2999.0, 0.0], window)[0] == pytest.approx(1.0)
 
     def test_no_wrap_shorter(self, window):
-        d = spatial.toroidal_distance((0.0, 0.0), (1500.0, 1500.0), window)
+        d = spatial.paired_distance([0.0, 0.0], [1500.0, 1500.0], window)[0]
         assert d == pytest.approx(1500.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_symmetry_and_triangle_inequality(self, window):
         rng = seeded()
         pts = rng.uniform(0, 3000, size=(30, 2))
-        for a, b, c in zip(pts[:10], pts[10:20], pts[20:]):
-            dab = spatial.toroidal_distance(a, b, window)
-            assert dab == pytest.approx(spatial.toroidal_distance(b, a, window), rel=1e-12)
-            dac = spatial.toroidal_distance(a, c, window)
-            dcb = spatial.toroidal_distance(c, b, window)
-            assert dab <= dac + dcb + 1e-9
+        a, b, c = pts[:10], pts[10:20], pts[20:]
+        dab = spatial.paired_distance(a, b, window)
+        assert np.allclose(dab, spatial.paired_distance(b, a, window), rtol=1e-12)
+        dac = spatial.paired_distance(a, c, window)
+        dcb = spatial.paired_distance(c, b, window)
+        assert np.all(dab <= dac + dcb + 1e-9)
 
     def test_bounded_topology_is_euclidean(self):
         win = Window(3000.0, 3000.0, topology="bounded")
-        assert spatial.toroidal_distance((0.0, 0.0), (2999.0, 0.0), win) == pytest.approx(2999.0)
+        assert spatial.paired_distance([0.0, 0.0], [2999.0, 0.0], win)[0] == pytest.approx(2999.0)
 
 
 class TestSamplePpp:
@@ -96,34 +96,32 @@ class TestPunchHoles:
     def test_zero_radius_keeps_everything(self, window):
         pts = spatial.sample_ppp(1e-5, window, seeded(5))
         holes = spatial.sample_ppp(1e-6, window, seeded(6))
-        out = spatial.punch_holes(pts, holes, 0.0)
-        assert np.array_equal(out.xy, pts.xy)
+        assert np.all(spatial.outside_holes_mask(pts, holes, 0.0))
 
     def test_point_at_exact_radius_is_removed(self, window):
         pts = spatial.PointSet(np.array([[1250.0, 1000.0]]), window)
         holes = spatial.PointSet(np.array([[1000.0, 1000.0]]), window)
-        assert len(spatial.punch_holes(pts, holes, 250.0)) == 0
-        assert len(spatial.punch_holes(pts, holes, 249.999)) == 1
+        assert spatial.outside_holes_mask(pts, holes, 250.0).tolist() == [False]
+        assert spatial.outside_holes_mask(pts, holes, 249.999).tolist() == [True]
 
     def test_mismatched_windows_rejected(self, window):
         pts = spatial.PointSet(np.array([[1.0, 1.0]]), window)
         holes = spatial.PointSet(np.array([[1.0, 1.0]]), Window(100.0, 100.0))
         with pytest.raises(ParameterError):
-            spatial.punch_holes(pts, holes, 10.0)
+            spatial.outside_holes_mask(pts, holes, 10.0)
 
     def test_idempotent(self, window):
         pts = spatial.sample_ppp(3e-5, window, seeded(7))
         holes = spatial.sample_ppp(1e-6, window, seeded(8))
-        once = spatial.punch_holes(pts, holes, 250.0)
-        twice = spatial.punch_holes(once, holes, 250.0)
-        assert np.array_equal(once.xy, twice.xy)
+        once = spatial.PointSet(pts.xy[spatial.outside_holes_mask(pts, holes, 250.0)], window)
+        assert np.all(spatial.outside_holes_mask(once, holes, 250.0))
 
     def test_monotone_thinning_in_radius(self, window):
         pts = spatial.sample_ppp(3e-5, window, seeded(9))
         holes = spatial.sample_ppp(1e-6, window, seeded(10))
-        small = {tuple(p) for p in spatial.punch_holes(pts, holes, 150.0).xy}
-        large = {tuple(p) for p in spatial.punch_holes(pts, holes, 350.0).xy}
-        assert large <= small
+        small = spatial.outside_holes_mask(pts, holes, 150.0)
+        large = spatial.outside_holes_mask(pts, holes, 350.0)
+        assert np.all(small[large])
 
     @pytest.mark.parametrize("delta", [100.0, 250.0, 400.0])
     def test_retained_fraction_matches_hole_survival(self, window, delta):
@@ -133,7 +131,7 @@ class TestPunchHoles:
             rng = seeded(100 + i)
             pts = spatial.sample_ppp(6e-5, window, rng)
             holes = spatial.sample_ppp(1e-6, window, rng)
-            fractions.append(len(spatial.punch_holes(pts, holes, delta)) / len(pts))
+            fractions.append(spatial.outside_holes_mask(pts, holes, delta).mean())
         fractions = np.asarray(fractions)
         se = fractions.std(ddof=1) / math.sqrt(len(fractions))
         assert abs(fractions.mean() - expected) < 3 * se

@@ -38,8 +38,10 @@ def test_constraint_spec_guards():
 
 def test_experiment_config_guards():
     params = make_params()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="n_realizations"):
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"), n_realizations=0)
+    with pytest.raises(ParameterError, match="seed"):
+        ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"), seed=-1)
     with pytest.raises(ParameterError):
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"), n_jobs=0)
 
@@ -48,18 +50,22 @@ def test_cell_association_accessors(window):
     bs = spatial.PointSet(np.array([[100.0, 100.0], [2000.0, 2000.0]]), window)
     users = spatial.PointSet(np.array([[150.0, 100.0], [2100.0, 2000.0]]), window)
     assoc = spatial.CellAssociation(bs=bs, users=users)
-    assert assoc.user_of_bs(0) == (150.0, 100.0)
-    assert assoc.bs_of_user(1) == (2000.0, 2000.0)
+    assert len(assoc) == 2
+    assert tuple(assoc.users.xy[0]) == (150.0, 100.0)
+    assert tuple(assoc.bs.xy[1]) == (2000.0, 2000.0)
     with pytest.raises(ParameterError):
         spatial.CellAssociation(bs=bs, users=spatial.PointSet(np.zeros((1, 2)), window))
 
 
-def test_fading_table_shape_and_tags():
+def test_fading_table_shape():
     with pytest.raises(ParameterError):
-        radio.FadingTable(gains=np.ones((2, 2)), tx_ids=(("d2d", 0),), rx_ids=(("bs", 0),))
-    table = radio.draw_fading([("d2d", 0)], [("bs", 0)], np.random.default_rng(0),
-                              phase_tag=radio.ESTIMATION)
-    assert table.phase_tag == radio.ESTIMATION
+        radio.FadingTable(gains=np.ones((2, 3)), n_links=1)
+    with pytest.raises(ParameterError):
+        radio.FadingTable(gains=np.ones((2, 2)), n_links=3)
+    with pytest.raises(ParameterError):
+        radio.FadingTable(gains=-np.ones((2, 2)), n_links=1)
+    table = radio.draw_fading(1, 1, np.random.default_rng(0))
+    assert table.gains.shape == (2, 2) and table.n_links == 1
 
 
 def test_point_set_rejects_outside_and_nonfinite(window):
