@@ -1,7 +1,7 @@
 """Stochastic-geometry simulator and optimizer for D2D access in cellular uplink spectrum."""
 
 from .access import ActiveSet, SchemeSpec
-from .analytic import DerivedConstants, QuadratureSettings, SystemParams
+from .analytic import DerivedConstants, SystemParams
 from .planner import ConstraintSpec, PlanResult
 from .simkit import ExperimentConfig, MetricsReport, Realization
 from .spatial import Window
@@ -15,7 +15,6 @@ __all__ = [
     "ExperimentConfig",
     "MetricsReport",
     "PlanResult",
-    "QuadratureSettings",
     "Realization",
     "SchemeSpec",
     "SystemParams",

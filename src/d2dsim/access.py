@@ -141,14 +141,26 @@ def stage2_threshold(estimated: dict, g: float) -> ActiveSet:
     return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))
 
 
+def admitted_count(p_s: float, n: int) -> int:
+    """ceil(p_s * n), where a product within 1e-9 of an integer is that integer.
+
+    The tolerance keeps float rounding from admitting one link too many
+    (0.55 * 100 is 55.00000000000001).
+    """
+    k = p_s * n
+    nearest = round(k)
+    return nearest if abs(k - nearest) <= 1e-9 else math.ceil(k)
+
+
 def stage2_top_fraction(estimated: dict, p_s: float) -> ActiveSet:
-    """Admit the ceil(p_s * n) candidates with the highest estimated SIR.
+    """Admit the ``admitted_count(p_s, n)`` candidates with the highest
+    estimated SIR.
 
     Ties break toward the smaller link id so the choice is deterministic.
     """
     if not 0 <= p_s <= 1:
         raise ParameterError("p_s must be in [0, 1]")
-    k = math.ceil(p_s * len(estimated))
+    k = admitted_count(p_s, len(estimated))
     ranked = sorted(estimated, key=lambda i: (-estimated[i], i))
     active = frozenset(ranked[:k])
     return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))

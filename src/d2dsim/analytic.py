@@ -65,23 +65,11 @@ class DerivedConstants:
         return cls(xi=xi, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and truncation policy for the semi-infinite integrals."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_mass: float = 1e-6   # probability mass allowed beyond the truncation point
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ParameterError("tolerances must be positive")
-        if not 0 < self.tail_mass < 1:
-            raise ParameterError("tail_mass must be in (0, 1)")
-
-
-DEFAULT_QUAD = QuadratureSettings()
+# Quadrature settings for the semi-infinite integrals
+_QUAD_REL_TOL = 1e-8
+_QUAD_ABS_TOL = 1e-12
+_QUAD_LIMIT = 200        # subdivisions
+_TAIL_MASS = 1e-6        # probability mass allowed beyond a truncation point
 
 
 def sinc_norm(x: float) -> float:
@@ -91,9 +79,9 @@ def sinc_norm(x: float) -> float:
     return math.sin(math.pi * x) / (math.pi * x)
 
 
-def _quad(fn, a, b, quad: QuadratureSettings, points=None):
-    result = integrate.quad(fn, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                            limit=quad.max_subdivisions, points=points, full_output=1)
+def _quad(fn, a, b):
+    result = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                            limit=_QUAD_LIMIT, full_output=1)
     if len(result) > 3:
         raise NumericalError(f"quadrature failed on [{a}, {b}]: {result[3]}")
     return result[0]
@@ -108,20 +96,19 @@ def laplace_ppp(s: float, lam: float, alpha: float) -> float:
     return math.exp(-math.pi * lam * s ** (2.0 / alpha) / sinc_norm(2.0 / alpha))
 
 
-def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: float,
-                                    quad: QuadratureSettings) -> float:
+def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: float) -> float:
     # integrand s*v/(v^alpha + s) is the stable form of s*v^(1-alpha)/(1 + s*v^(-alpha))
     def integrand(v):
         return s * v / (v ** alpha + s)
 
     knee = max(r_min, s ** (1.0 / alpha))
-    inner = _quad(integrand, r_min, knee, quad) if knee > r_min else 0.0
-    tail = _quad(integrand, knee, np.inf, quad)
+    inner = _quad(integrand, r_min, knee) if knee > r_min else 0.0
+    tail = _quad(integrand, knee, np.inf)
     return 2.0 * math.pi * lam * (inner + tail)
 
 
 def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
-                     quad: QuadratureSettings | None = None, method: str = "auto") -> float:
+                     method: str = "auto") -> float:
     """Laplace transform of PPP interference with a keep-out disk of radius r_min.
 
     For alpha = 4 the radial integral has the antiderivative
@@ -133,7 +120,6 @@ def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
         raise ParameterError("s, lambda and r_min must be nonnegative")
     if s == 0 or lam == 0:
         return 1.0
-    quad = quad or DEFAULT_QUAD
     if method not in ("auto", "closed_form", "quadrature"):
         raise ParameterError(f"unknown method {method!r}")
     if method == "closed_form" and alpha != 4:
@@ -142,7 +128,7 @@ def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
         root_s = math.sqrt(s)
         angle = math.pi / 2 if r_min == 0 else math.atan(root_s / r_min ** 2)
         return math.exp(-math.pi * lam * root_s * angle)
-    return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha, quad))
+    return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha))
 
 
 def d2d_success_prob(beta: float, params: SystemParams) -> float:
@@ -216,8 +202,8 @@ def warn_if_loose(delta: float, lambda_m: float):
 
 
 def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
-                      params: SystemParams, quad: QuadratureSettings | None = None,
-                      dmin_law: str = NEAREST_LAW, warn: bool = True) -> float:
+                      params: SystemParams, dmin_law: str = NEAREST_LAW,
+                      warn: bool = True) -> float:
     """Probability a cellular uplink beats its SIR target.
 
     Interference comes from the other uplink users (a PPP kept outside a
@@ -238,49 +224,42 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
         raise ParameterError(f"unknown dmin_law {dmin_law!r}")
     if gamma == 0:
         return 1.0
-    quad = quad or DEFAULT_QUAD
     lam_m = params.lambda_m
     if warn:
         warn_if_loose(delta, lam_m)
     if dmin_law == NEAREST_LAW:
         dmin_pdf = pdf_link_distance
-        r_max = _link_distance_quantile(1.0 - quad.tail_mass, lam_m)
+        r_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
     else:
         dmin_pdf = pdf_dmin
-        r_max = _dmin_quantile(1.0 - quad.tail_mass, lam_m)
+        r_max = _dmin_quantile(1.0 - _TAIL_MASS, lam_m)
     power_ratio = params.p_d_mw / params.p_c_mw
-    x_max = _link_distance_quantile(1.0 - quad.tail_mass, lam_m)
+    x_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
 
     def inner(x: float) -> float:
         s = gamma * x ** params.alpha
 
         def f(r: float) -> float:
-            return dmin_pdf(r, lam_m) * modified_laplace(s, lam_m, r, params.alpha, quad)
+            return dmin_pdf(r, lam_m) * modified_laplace(s, lam_m, r, params.alpha)
 
-        return _quad(f, 0.0, r_max, quad)
+        return _quad(f, 0.0, r_max)
 
     def outer(x: float) -> float:
         s_d2d = gamma * x ** params.alpha * power_ratio
-        keep = modified_laplace(s_d2d, active_d2d_density, delta, params.alpha, quad)
+        keep = modified_laplace(s_d2d, active_d2d_density, delta, params.alpha)
         return pdf_link_distance(x, lam_m) * inner(x) * keep
 
-    return _quad(outer, 0.0, x_max, quad)
+    return _quad(outer, 0.0, x_max)
 
 
-def max_cellular_coverage(params: SystemParams, quad: QuadratureSettings | None = None,
-                          dmin_law: str = NEAREST_LAW) -> float:
+@functools.lru_cache(maxsize=64)
+def max_cellular_coverage(params: SystemParams, dmin_law: str = NEAREST_LAW) -> float:
     """Cellular coverage with the D2D tier silent (single-tier ceiling).
 
     Memoized on its frozen arguments: every guard-radius solve and plan
     needs the same ceiling, and each evaluation is a nested quadrature.
     """
-    return _max_cellular_coverage(params, quad or DEFAULT_QUAD, dmin_law)
-
-
-@functools.lru_cache(maxsize=64)
-def _max_cellular_coverage(params: SystemParams, quad: QuadratureSettings,
-                           dmin_law: str) -> float:
-    return cellular_coverage(params.gamma, 0.0, 0.0, params, quad, dmin_law=dmin_law)
+    return cellular_coverage(params.gamma, 0.0, 0.0, params, dmin_law=dmin_law)
 
 
 def access_prob_from_threshold(g: float, params: SystemParams) -> float:

@@ -58,8 +58,12 @@ def parse_config_file(path: Path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     raw = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -219,22 +223,6 @@ def serialize_config(rc: RunConfig) -> str:
     return "".join(f"{key} = {value}\n" for key, value in sorted(rc.raw.items()))
 
 
-@dataclass
-class RunManifest:
-    """What a CLI invocation produced, for provenance and reruns."""
-
-    subcommand: str
-    config_path: str
-    out_dir: str
-    config_hash: str
-    files: list
-    duration_s: float
-    config_resolved: dict
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _config_hash(rc: RunConfig) -> str:
     payload = json.dumps(rc.resolved_dict(), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -245,9 +233,8 @@ def _write_json(path: Path, payload: dict):
 
 
 def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
-          files: dict, started: float) -> list[str]:
-    """Write output files plus the manifest; returns the emitted file list."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+          files: dict, started: float):
+    """Write output files plus the manifest."""
     emitted = []
     for name, content in files.items():
         path = out_dir / name
@@ -256,17 +243,16 @@ def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
         else:
             path.write_text(content)
         emitted.append(name)
-    manifest = RunManifest(
-        subcommand=subcommand,
-        config_path=config_path,
-        out_dir=str(out_dir),
-        config_hash=_config_hash(rc),
-        files=sorted(emitted + ["manifest.json"]),
-        duration_s=time.monotonic() - started,
-        config_resolved=rc.resolved_dict(),
-    )
-    _write_json(out_dir / "manifest.json", manifest.to_dict())
-    return manifest.files
+    manifest = {   # what the invocation produced, for provenance and reruns
+        "subcommand": subcommand,
+        "config_path": config_path,
+        "out_dir": str(out_dir),
+        "config_hash": _config_hash(rc),
+        "files": sorted(emitted + ["manifest.json"]),
+        "duration_s": time.monotonic() - started,
+        "config_resolved": rc.resolved_dict(),
+    }
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _active_density(rc: RunConfig) -> float:
@@ -300,27 +286,16 @@ def cmd_analyze(rc: RunConfig) -> dict:
     return table
 
 
-def cmd_simulate(rc: RunConfig) -> simkit.MetricsReport:
-    return simkit.run_experiment(rc.experiment())
-
-
-def cmd_optimize(rc: RunConfig) -> planner.PlanResult:
-    return planner.decoupled_optimize(rc.params, rc.constraint())
-
-
-def cmd_sweep(rc: RunConfig, axis: str, values: list[float]):
-    return simkit.sweep(rc.experiment(), axis, values)
-
-
 COMPARE_SCHEMES = ("proposed", "channel_aware", "guard_zone_only", "no_ac")
+CHANNEL_AWARE_P_AC = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-def tune_channel_aware(rc: RunConfig, n_tuning: int = 250,
-                       p_ac_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)) -> SchemeSpec:
-    """Pick the access probability (and matching guard radius) with the best
-    measured fixed-rate ASE, subject to the analytic coverage floor."""
+def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
+    """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
+    guard radius) with the best measured fixed-rate ASE, subject to the
+    analytic coverage floor."""
     best = None
-    for p_ac in p_ac_grid:
+    for p_ac in CHANNEL_AWARE_P_AC:
         try:
             delta = planner.solve_guard_radius(p_ac, rc.constraint(), rc.params)
         except NumericalError:
@@ -406,29 +381,39 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         rc = resolve_config(parse_config_file(Path(args.config)), seed_override=args.seed)
-        out_dir = Path(args.out) if args.out else Path("d2dsim-out")
+        if args.subcommand in ("simulate", "sweep", "compare"):
+            rc.experiment()   # rejects bad Monte Carlo fields before any work
+        if args.subcommand == "sweep":
+            values = _parse_float_list(args.values, "--values")
+            if not values:
+                raise ConfigError("sweep needs a nonempty --values list")
+        if args.subcommand == "compare" and args.tuning_realizations < 1:
+            raise ConfigError(f"--tuning-realizations must be at least 1, "
+                              f"got {args.tuning_realizations}")
+        out_dir = Path(args.out or "d2dsim-out")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out directory {out_dir}: {exc}") from None
         if args.subcommand == "analyze":
             table = cmd_analyze(rc)
             for key, value in table.items():
                 print(f"{key:28s} {value:.6g}")
             _emit(out_dir, "analyze", args.config, rc, {"analyze.json": table}, started)
         elif args.subcommand == "simulate":
-            report = cmd_simulate(rc)
+            report = simkit.run_experiment(rc.experiment())
             print(_report_csv(report), end="")
             _emit(out_dir, "simulate", args.config, rc,
                   {"report.json": report.to_dict(), "report.csv": _report_csv(report)}, started)
         elif args.subcommand == "optimize":
-            plan = cmd_optimize(rc)
+            plan = planner.decoupled_optimize(rc.params, rc.constraint())
             payload = plan.to_dict()
             payload["g_star_db"] = linear_to_db(plan.g_star) if plan.g_star > 0 else None
             for key, value in payload.items():
                 print(f"{key:22s} {value}")
             _emit(out_dir, "optimize", args.config, rc, {"plan.json": payload}, started)
         elif args.subcommand == "sweep":
-            values = _parse_float_list(args.values, "--values")
-            if not values:
-                raise ConfigError("sweep needs a nonempty --values list")
-            results = cmd_sweep(rc, args.axis, values)
+            results = simkit.sweep(rc.experiment(), args.axis, values)
             csv_text = simkit.sweep_to_csv(args.axis, results)
             print(csv_text, end="")
             _emit(out_dir, "sweep", args.config, rc, {"sweep.csv": csv_text}, started)

@@ -11,56 +11,29 @@ decoupled procedure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from scipy.special import lambertw
 
 from . import analytic
-from .analytic import DerivedConstants, QuadratureSettings, SystemParams
-from .errors import InfeasibleError, NumericalError, ParameterError
+from .analytic import DerivedConstants, SystemParams
+from .errors import InfeasibleError, ParameterError
 
 _INV_E = math.exp(-1.0)
+_GUARD_TOL_M = 0.1           # bisection stops once the radius bracket is this narrow
+_GUARD_MAX_CELL_RADII = 3.0  # largest guard radius tried, in mean cell radii
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of w * exp(w) = x for x >= -1/e, by Halley iteration.
-
-    The initial guess is branch aware: a series around the branch point for
-    x near -1/e, a log-based asymptote for large x, and a Taylor start in
-    between.
-    """
+    """Principal branch of w * exp(w) = x for x >= -1/e (SciPy's ``lambertw``)."""
     if math.isnan(x):
         raise ParameterError("lambert_w0 needs a real argument")
-    if x < -_INV_E:
-        if x > -_INV_E - 1e-12:   # round-off guard at the branch point
+    if x <= -_INV_E:
+        # SciPy returns NaN at exactly -1/e; allow round-off at the branch point
+        if x > -_INV_E - 1e-12:
             return -1.0
         raise ParameterError(f"lambert_w0 domain is [-1/e, inf), got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < -0.32:
-        p = math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
-        w = (-1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0 - 43.0 * p ** 4 / 540.0
-             + 769.0 * p ** 5 / 17280.0)
-        if p < 0.02:   # series error O(p^6); Halley's denominator vanishes at w = -1
-            return w
-    elif x < math.e:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.2 else math.log1p(x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    prev_step = math.inf
-    for iteration in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) <= 5e-16 * (2.0 + abs(w)):
-            return w
-        if iteration >= 3 and abs(step) >= prev_step:
-            return w   # steps stopped shrinking: at the rounding floor
-        prev_step = abs(step)
-    raise NumericalError(f"lambert_w0 did not converge for x={x}")
+    return float(lambertw(x).real)
 
 
 def solve_exp_linear(p: float, a: float, b: float, c: float, d: float) -> float:
@@ -104,16 +77,7 @@ class PlanResult:
     method: str = "decoupled"
 
     def to_dict(self) -> dict:
-        return {
-            "delta_star": self.delta_star,
-            "p_s_star": self.p_s_star,
-            "g_star": self.g_star,
-            "predicted_ase": self.predicted_ase,
-            "predicted_coverage": self.predicted_coverage,
-            "constraint_residual": self.constraint_residual,
-            "p_max_coverage": self.p_max_coverage,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def optimal_access_prob(params: SystemParams) -> float:
@@ -130,43 +94,35 @@ def optimal_access_prob(params: SystemParams) -> float:
     return min(lambert_w0(load * math.exp(-cross)) / load, 1.0)
 
 
-def optimal_sir_threshold(p_s_star: float, params: SystemParams) -> float:
-    """Estimation-phase SIR threshold whose admit rate is ``p_s_star``."""
-    return analytic.threshold_from_access_prob(p_s_star, params)
-
-
-def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec, params: SystemParams,
-                       quad: QuadratureSettings | None = None, tol_m: float = 0.1,
-                       delta_max: float | None = None) -> float:
-    """Smallest guard radius meeting the coverage floor, by bisection.
+def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
+                       params: SystemParams) -> float:
+    """Smallest guard radius meeting the coverage floor, by bisection to 0.1 m.
 
     The floor is (1 - mu) times the single-tier coverage; the analytic
     coverage is nondecreasing in the radius, so bisection applies.  Returns
-    0 when no guard zone is needed and raises when even ``delta_max``
-    (default three mean cell radii) cannot meet the floor.  The probes do not
-    warn; a returned radius beyond the tight keep-out radius warns once.
+    0 when no guard zone is needed and raises when even three mean cell radii
+    cannot meet the floor.  The probes do not warn; a returned radius beyond
+    the tight keep-out radius warns once.
     """
     if not 0 <= p_s_star <= 1:
         raise ParameterError("p_s_star must be in [0, 1]")
-    p_max = analytic.max_cellular_coverage(params, quad)
+    p_max = analytic.max_cellular_coverage(params)
     target = (1.0 - constraint.mu) * p_max
     density = p_s_star * params.lambda_d
 
     def coverage(delta):
-        return analytic.cellular_coverage(constraint.gamma, density, delta, params, quad,
-                                          warn=False)
+        return analytic.cellular_coverage(constraint.gamma, density, delta, params, warn=False)
 
     if coverage(0.0) >= target:
         return 0.0
-    if delta_max is None:
-        delta_max = 3.0 / math.sqrt(math.pi * params.lambda_m)
+    delta_max = _GUARD_MAX_CELL_RADII / math.sqrt(math.pi * params.lambda_m)
     achieved = coverage(delta_max)
     if achieved < target:
         raise InfeasibleError(
             f"coverage floor {target:.4f} unreachable: {achieved:.4f} at "
             f"guard radius {delta_max:.0f} m")
     lo, hi = 0.0, delta_max
-    while hi - lo > tol_m:
+    while hi - lo > _GUARD_TOL_M:
         mid = 0.5 * (lo + hi)
         if coverage(mid) >= target:
             hi = mid
@@ -176,8 +132,7 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec, params: Syst
     return hi
 
 
-def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec,
-                       quad: QuadratureSettings | None = None) -> PlanResult:
+def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec) -> PlanResult:
     """Three-step plan: access probability, then guard radius, then threshold.
 
     The access probability is computed once, independent of the guard radius
@@ -185,11 +140,11 @@ def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec,
     is worth admitting).
     """
     p_s = optimal_access_prob(params)
-    delta = solve_guard_radius(p_s, constraint, params, quad)
-    g = optimal_sir_threshold(p_s, params)
-    p_max = analytic.max_cellular_coverage(params, quad)
+    delta = solve_guard_radius(p_s, constraint, params)
+    g = analytic.threshold_from_access_prob(p_s, params)
+    p_max = analytic.max_cellular_coverage(params)
     coverage = analytic.cellular_coverage(constraint.gamma, p_s * params.lambda_d,
-                                          delta, params, quad, warn=False)   # solve warned
+                                          delta, params, warn=False)   # solve warned
     return PlanResult(
         delta_star=delta,
         p_s_star=p_s,
@@ -204,7 +159,7 @@ def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec,
 
 def exhaustive_search(params: SystemParams, constraint: ConstraintSpec,
                       deltas, ps_values, n_realizations: int, seed: int,
-                      window=None, quad: QuadratureSettings | None = None) -> PlanResult:
+                      window=None) -> PlanResult:
     """Monte Carlo grid search over (guard radius, admitted fraction).
 
     Every grid point is simulated with the top-fraction scheme and common
@@ -218,7 +173,7 @@ def exhaustive_search(params: SystemParams, constraint: ConstraintSpec,
     ps_values = list(ps_values)
     if not deltas or not ps_values:
         raise ParameterError("grid must contain at least one point")
-    p_max = analytic.max_cellular_coverage(params, quad)
+    p_max = analytic.max_cellular_coverage(params)
     target = (1.0 - constraint.mu) * p_max
     grid = simkit.run_topfraction_grid(params, deltas, ps_values, n_realizations,
                                        seed, window=window)

@@ -55,6 +55,9 @@ class ExperimentConfig:
             raise ParameterError("n_jobs must be positive")
         if not 0 <= self.rate_ceiling < math.inf:
             raise ParameterError("rate_ceiling must be finite and nonnegative")
+        if any(b < a for a, b in zip(self.ccdf_points_db, self.ccdf_points_db[1:])):
+            raise ParameterError(
+                f"ccdf_points_db must be sorted ascending, got {list(self.ccdf_points_db)}")
 
     def radio_params(self) -> radio.RadioParams:
         return _radio_params(self.params)
@@ -393,7 +396,7 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
                                                              real.bs, delta))
             est = radio.sir(*powers.d2d(cand))
             ranked = cand[np.lexsort((cand, -est))]     # best estimated SIR first, id tiebreak
-            counts = [math.ceil(ps * len(cand)) for ps in ps_values]
+            counts = [access.admitted_count(ps, len(cand)) for ps in ps_values]
             for ps, (sig, inter, inter_c) in zip(ps_values, powers.nested(ranked, counts)):
                 n_success = int((radio.sir(sig, inter) > params.beta).sum())
                 covered = radio.sir(powers.cell_signal, inter_c) > params.gamma

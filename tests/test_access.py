@@ -160,6 +160,14 @@ class TestStage2TopFraction:
         out = access.stage2_top_fraction(est, 0.4)   # ceil(1.2) = 2, lowest ids win ties
         assert out.active_ids == frozenset({0, 1})
 
+    def test_rounding_does_not_over_admit(self):
+        est = {i: float(i) for i in range(100)}
+        assert 0.55 * 100 > 55                      # 55.00000000000001
+        out = access.stage2_top_fraction(est, 0.55)
+        assert out.active_ids == frozenset(range(45, 100))
+        assert access.admitted_count(0.55, 100) == 55
+        assert access.admitted_count(0.551, 100) == 56
+
     def test_monotone_by_inclusion(self):
         rng = seeded(6)
         est = {i: float(v) for i, v in enumerate(rng.uniform(0, 10, size=23))}

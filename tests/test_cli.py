@@ -174,8 +174,9 @@ class TestCompareCommand:
         assert len(csv_lines) == 3
 
 
-NONFINITE_CASES = [
-    # (extra config lines, extra CLI arguments, field named in the error)
+MALFORMED_CASES = [
+    # (extra config lines, extra CLI arguments, text the error must name);
+    # bytes extend the config file as raw bytes, "{tmp}" is the test's directory
     ("scheme.kind = guard_zone_only\nscheme.delta = nan\n", (), "scheme.delta"),
     ("rate_ceiling = nan\n", (), "rate_ceiling"),
     ("lambda_d = nan\n", (), "lambda_d"),
@@ -185,14 +186,40 @@ NONFINITE_CASES = [
      ("--axis", "delta", "--values", "1,x"), "--values"),
     ("seed = -1\n", (), "seed"),
     ("", ("--seed", "-1"), "seed"),
+    ("", ("--config", "{tmp}/cfgdir"), "cfgdir"),
+    (b"# caf\xe9\n", (), "run.cfg"),
+    ("", ("--out", "{tmp}/run.cfg"), "--out"),
+    ("", ("--tuning-realizations", "0"), "--tuning-realizations"),
+    ("ccdf_points_db = 10,0\n", (), "ccdf_points_db must be sorted"),
 ]
 
 
-@pytest.mark.parametrize("extra, argv, field", NONFINITE_CASES,
-                         ids=[case[2] for case in NONFINITE_CASES])
-def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, extra, argv, field):
-    path = write_config(tmp_path, TABLE_CONFIG + "n_realizations = 1\n" + extra)
-    subcommand = "sweep" if "--axis" in argv else "simulate"
+@pytest.mark.parametrize("extra, argv, field", MALFORMED_CASES,
+                         ids=[case[2] for case in MALFORMED_CASES])
+def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatch,
+                                                    extra, argv, field):
+    body = TABLE_CONFIG + "n_realizations = 1\n"
+    path = tmp_path / "run.cfg"
+    if isinstance(extra, bytes):
+        path.write_bytes(body.encode() + extra)
+    else:
+        path.write_text(body + extra)
+    (tmp_path / "cfgdir").mkdir()
+
+    def computation_started(*args, **kwargs):
+        raise AssertionError("malformed input must be rejected before any computation")
+
+    for module, name in ((cli.simkit, "run_experiment"), (cli.simkit, "sweep"),
+                         (cli.planner, "decoupled_optimize"),
+                         (cli.planner, "solve_guard_radius")):
+        monkeypatch.setattr(module, name, computation_started)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--axis" in argv:
+        subcommand = "sweep"
+    elif "--tuning-realizations" in argv:
+        subcommand = "compare"
+    else:
+        subcommand = "simulate"
     code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
     assert code == 2
     assert field in capsys.readouterr().err

@@ -101,14 +101,14 @@ class TestOptimalAccessProb:
 
 class TestOptimalSirThreshold:
     def test_full_admission_zero_threshold(self, params6):
-        assert planner.optimal_sir_threshold(1.0, params6) == 0.0
+        assert analytic.threshold_from_access_prob(1.0, params6) == 0.0
 
     def test_reference_value(self, params6):
-        assert planner.optimal_sir_threshold(0.4463, params6) == pytest.approx(0.873, abs=1e-3)
+        assert analytic.threshold_from_access_prob(0.4463, params6) == pytest.approx(0.873, abs=1e-3)
 
     def test_round_trip_with_access_prob(self, params6):
         p = planner.optimal_access_prob(params6)
-        g = planner.optimal_sir_threshold(p, params6)
+        g = analytic.threshold_from_access_prob(p, params6)
         assert analytic.access_prob_from_threshold(g, params6) == pytest.approx(p, rel=1e-12)
 
 
@@ -171,15 +171,14 @@ class TestSingleTierCeilingCache:
     def test_cached_value_equals_uncached(self, params6):
         uncached = analytic.cellular_coverage(params6.gamma, 0.0, 0.0, params6)
         assert analytic.max_cellular_coverage(params6) == uncached
-        assert analytic.max_cellular_coverage(params6, analytic.DEFAULT_QUAD) == uncached
 
     def test_repeated_plan_evaluates_the_ceiling_once(self, params6):
-        analytic._max_cellular_coverage.cache_clear()
+        analytic.max_cellular_coverage.cache_clear()
         constraint = ConstraintSpec(mu=0.3, gamma=1.0)
         first = planner.decoupled_optimize(params6, constraint)
         second = planner.decoupled_optimize(params6, constraint)
         assert first == second
-        assert analytic._max_cellular_coverage.cache_info().misses == 1
+        assert analytic.max_cellular_coverage.cache_info().misses == 1
 
 
 class TestDecoupledOptimize:

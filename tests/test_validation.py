@@ -3,20 +3,12 @@ import numpy as np
 import pytest
 
 from d2dsim import radio, spatial
-from d2dsim.analytic import QuadratureSettings
 from d2dsim.errors import ParameterError
 from d2dsim.planner import ConstraintSpec
 from d2dsim.access import SchemeSpec
 from d2dsim.simkit import ExperimentConfig
 
 from conftest import make_params
-
-
-def test_quadrature_settings_require_positive_tolerances():
-    with pytest.raises(ParameterError):
-        QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureSettings(tail_mass=1.0)
 
 
 def test_system_params_guards():
@@ -44,6 +36,9 @@ def test_experiment_config_guards():
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"), seed=-1)
     with pytest.raises(ParameterError):
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"), n_jobs=0)
+    with pytest.raises(ParameterError, match="ccdf_points_db"):
+        ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
+                         ccdf_points_db=(10.0, 0.0))
 
 
 def test_cell_association_accessors(window):
