@@ -40,7 +40,6 @@ DEFAULTS = {
     "seed": "1",
     "n_jobs": "1",
     "rate_ceiling": "30",
-    "collect_sir_samples": "false",
     "refresh_fading": "false",
     "ccdf_points_db": "",
     "scheme.kind": "no_ac",
@@ -123,7 +122,6 @@ class RunConfig:
     n_jobs: int
     mu: float
     rate_ceiling: float
-    collect_sir_samples: bool
     refresh_fading: bool
     ccdf_points_db: tuple
     raw: dict
@@ -138,7 +136,6 @@ class RunConfig:
             n_jobs=self.n_jobs,
             refresh_fading_between_phases=self.refresh_fading,
             rate_ceiling=self.rate_ceiling,
-            collect_sir_samples=self.collect_sir_samples,
             ccdf_points_db=self.ccdf_points_db,
         )
 
@@ -211,7 +208,6 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         n_jobs=_get_int(merged, "n_jobs"),
         mu=mu,
         rate_ceiling=_get_float(merged, "rate_ceiling"),
-        collect_sir_samples=_get_bool(merged, "collect_sir_samples"),
         refresh_fading=_get_bool(merged, "refresh_fading"),
         ccdf_points_db=ccdf,
         raw=merged,
@@ -263,10 +259,8 @@ def _active_density(rc: RunConfig) -> float:
         return scheme.p_s * rc.params.lambda_d
     if scheme.g is not None:
         return analytic.access_prob_from_threshold(scheme.g, rc.params) * rc.params.lambda_d
-    if scheme.g_min is not None:
-        p_ac = math.exp(-scheme.g_min * rc.params.d ** rc.params.alpha)
-        return p_ac * rc.params.lambda_d
-    return rc.params.lambda_d
+    p_ac = math.exp(-scheme.g_min * rc.params.d ** rc.params.alpha)   # channel_aware by g_min
+    return p_ac * rc.params.lambda_d
 
 
 def cmd_analyze(rc: RunConfig) -> dict:
@@ -293,22 +287,19 @@ CHANNEL_AWARE_P_AC = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
     """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
     guard radius) with the best measured fixed-rate ASE, subject to the
-    analytic coverage floor."""
-    best = None
+    analytic coverage floor.  The first of equal maxima wins."""
+    schemes = []
     for p_ac in CHANNEL_AWARE_P_AC:
         try:
             delta = planner.solve_guard_radius(p_ac, rc.constraint(), rc.params)
         except NumericalError:
             continue
-        scheme = SchemeSpec(kind=access.CHANNEL_AWARE, delta=delta, p_s=p_ac)
-        config = dataclasses.replace(rc.experiment(), scheme=scheme,
-                                     n_realizations=n_tuning)
-        report = simkit.run_experiment(config)
-        if best is None or report.ase.mean > best[0]:
-            best = (report.ase.mean, scheme)
-    if best is None:
+        schemes.append(SchemeSpec(kind=access.CHANNEL_AWARE, delta=delta, p_s=p_ac))
+    if not schemes:
         raise NumericalError("no channel-aware operating point meets the coverage floor")
-    return best[1]
+    config = dataclasses.replace(rc.experiment(), n_realizations=n_tuning)
+    reports = simkit.run_schemes(config, schemes)
+    return max(zip(schemes, reports), key=lambda pair: pair[1].ase.mean)[0]
 
 
 def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) -> dict:
@@ -326,9 +317,8 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
     if "no_ac" in subset:
         schemes["no_ac"] = SchemeSpec(kind=access.NO_AC)
     rows = {}
-    for name, scheme in schemes.items():
-        config = dataclasses.replace(rc.experiment(), scheme=scheme)
-        report = simkit.run_experiment(config)
+    reports = simkit.run_schemes(rc.experiment(), schemes.values())
+    for (name, scheme), report in zip(schemes.items(), reports):
         rows[name] = {
             "scheme": scheme.to_dict(),
             "r_d": report.r_d.mean,

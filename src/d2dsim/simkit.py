@@ -1,15 +1,16 @@
 """Monte Carlo experiment harness.
 
-Samples network realizations from per-index substreams of one master seed,
-applies an access scheme, measures link SIRs in the data phase, and
-aggregates coverage, fixed-rate area spectral efficiency, and Shannon
-sum-rate densities with normal-approximation confidence intervals.
-Realizations may run in a process pool; results are reduced in index order
-so the report is bit-identical regardless of worker count.
+Samples each network realization once, from a per-index substream of one
+master seed, applies every requested access scheme to it, measures link SIRs
+in the data phase, and aggregates coverage, fixed-rate area spectral
+efficiency, and Shannon sum-rate densities with normal-approximation
+confidence intervals.  Realizations may run in a process pool; results are
+reduced in index order so reports are bit-identical regardless of worker count.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import logging
 import math
@@ -60,11 +61,8 @@ class ExperimentConfig:
                 f"ccdf_points_db must be sorted ascending, got {list(self.ccdf_points_db)}")
 
     def radio_params(self) -> radio.RadioParams:
-        return _radio_params(self.params)
-
-
-def _radio_params(params: SystemParams) -> radio.RadioParams:
-    return radio.RadioParams(alpha=params.alpha, p_c_mw=params.p_c_mw, p_d_mw=params.p_d_mw)
+        p = self.params
+        return radio.RadioParams(alpha=p.alpha, p_c_mw=p.p_c_mw, p_d_mw=p.p_d_mw)
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,10 @@ def realization_rng(seed: int, index: int, attempt: int = 0) -> np.random.Genera
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index, attempt)))
 
 
-def _sample_realization(params: SystemParams, window: Window, seed: int, index: int,
-                        refresh_fading: bool) -> Realization:
+def sample_realization(config: ExperimentConfig, index: int) -> Realization:
+    params, window = config.params, config.window
     for attempt in range(_MAX_RESAMPLE):
-        rng = realization_rng(seed, index, attempt)
+        rng = realization_rng(config.seed, index, attempt)
         bs = spatial.sample_ppp(params.lambda_m, window, rng)
         if len(bs) == 0:
             log.info("realization %d attempt %d had no base stations; resampling", index, attempt)
@@ -168,7 +166,7 @@ def _sample_realization(params: SystemParams, window: Window, seed: int, index: 
         pairs = spatial.place_d2d_pairs(tx, params.d, rng)
         n, nb = len(tx), len(bs)
         fading_est = radio.draw_fading(n, nb, rng)
-        if refresh_fading:
+        if config.refresh_fading_between_phases:
             fading_data = radio.draw_fading(n, nb, rng)
         else:
             fading_data = fading_est   # coherent across both protocol phases
@@ -176,11 +174,6 @@ def _sample_realization(params: SystemParams, window: Window, seed: int, index: 
                            fading_est=fading_est, fading_data=fading_data,
                            resample_attempts=attempt)
     raise NumericalError(f"realization {index}: no base stations after {_MAX_RESAMPLE} attempts")
-
-
-def sample_realization(config: ExperimentConfig, index: int) -> Realization:
-    return _sample_realization(config.params, config.window, config.seed, index,
-                               config.refresh_fading_between_phases)
 
 
 def _capped_rate(sir: np.ndarray, ceiling: float) -> np.ndarray:
@@ -205,12 +198,11 @@ def _data_phase(active: ActiveSet, links: np.ndarray, real: Realization,
     return measured, on_air
 
 
-def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
-    """Sample one network, apply the scheme, and measure the data phase."""
-    real = sample_realization(config, index)
+def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) -> RealizationMetrics:
+    """Apply ``scheme`` to one sampled network and measure the data phase."""
     rp = config.radio_params()
     params = config.params
-    active: ActiveSet = access.apply_scheme(config.scheme, real, real.fading_est, rp)
+    active: ActiveSet = access.apply_scheme(scheme, real, real.fading_est, rp)
     links = radio.link_ids(active)
     powers, on_air = _data_phase(active, links, real, rp, config.refresh_fading_between_phases)
     sir_d = radio.sir(*powers.d2d(on_air))
@@ -218,7 +210,7 @@ def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
 
     keep_samples = config.collect_sir_samples or len(config.ccdf_points_db) > 0
     return RealizationMetrics(
-        index=index,
+        index=real.index,
         n_potential=len(real.pairs),
         n_candidates=len(active.candidate_ids),
         n_active=len(links),
@@ -234,9 +226,14 @@ def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
     )
 
 
-def _run_realization_task(args):
-    config, index = args
-    return run_realization(config, index)
+def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
+    """Sample network ``index`` and measure ``config.scheme`` on it."""
+    return _measure(config, config.scheme, sample_realization(config, index))
+
+
+def _measure_all(config: ExperimentConfig, schemes: list, index: int) -> list[RealizationMetrics]:
+    real = sample_realization(config, index)
+    return [_measure(config, scheme, real) for scheme in schemes]
 
 
 def _stat(values) -> MetricStat:
@@ -301,22 +298,28 @@ def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> M
     )
 
 
-def run_experiment(config: ExperimentConfig) -> MetricsReport:
-    """Run all realizations (serially or in a process pool) and aggregate.
+def run_schemes(config: ExperimentConfig, schemes) -> list[MetricsReport]:
+    """One report per scheme; each realization is sampled once and serves all.
 
-    The pool has at most one worker per CPU; with one, the run is serial.
+    ``config.scheme`` is not used.  The pool has at most one worker per CPU;
+    with one, the run is serial.
     """
+    schemes = list(schemes)
     indices = range(config.n_realizations)
     workers = min(config.n_jobs, os.cpu_count() or 1)
+    task = functools.partial(_measure_all, config, schemes)
     if workers == 1:
-        per_real = [run_realization(config, i) for i in indices]
+        per_real = [task(i) for i in indices]
     else:
-        tasks = [(config, i) for i in indices]
         chunk = max(1, config.n_realizations // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_real = list(pool.map(_run_realization_task, tasks, chunksize=chunk))
-    per_real.sort(key=lambda m: m.index)   # reduce in index order: worker-count invariant
-    return aggregate(config, per_real)
+            per_real = list(pool.map(task, indices, chunksize=chunk))
+    return [aggregate(config, list(column)) for column in zip(*per_real)]
+
+
+def run_experiment(config: ExperimentConfig) -> MetricsReport:
+    """Run all realizations of ``config.scheme`` and aggregate."""
+    return run_schemes(config, [config.scheme])[0]
 
 
 SWEEP_AXES = ("delta", "p_s", "g", "lambda_d", "mu")
@@ -346,12 +349,18 @@ def _config_for(config: ExperimentConfig, axis: str, value: float) -> Experiment
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, MetricsReport]]:
-    """One experiment per axis value, sharing the base seed."""
+    """One report per axis value, all values checked before any Monte Carlo;
+    scheme axes share each realization, ``lambda_d`` resamples per value."""
     axis = axis.lower()
     values = list(values)
     if not values:
         raise ParameterError("sweep needs at least one value")
-    return [(v, run_experiment(_config_for(config, axis, v))) for v in values]
+    configs = [_config_for(config, axis, v) for v in values]
+    if axis == "lambda_d":
+        reports = [run_experiment(c) for c in configs]
+    else:
+        reports = run_schemes(config, [c.scheme for c in configs])
+    return list(zip(values, reports))
 
 
 def sweep_to_csv(axis: str, results: list[tuple[float, MetricsReport]]) -> str:
@@ -374,21 +383,21 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
     p_s, one estimated-SIR sort plus prefix sums yields every p_s at once.
     Returns {(delta, p_s): {"ase", "coverage", "ase_se", "coverage_se", "n"}}.
     """
-    window = window or Window(3000.0, 3000.0)
     deltas = [float(x) for x in deltas]
     ps_values = [float(x) for x in ps_values]
     if not all(0 <= ps <= 1 for ps in ps_values):
         raise ParameterError("p_s values must lie in [0, 1]")
-    if n_realizations < 1:
-        raise ParameterError(f"need at least one realization, got n_realizations={n_realizations}")
-    area = window.area
+    config = ExperimentConfig(params=params, scheme=SchemeSpec(kind=access.NO_AC),
+                              window=window or Window(3000.0, 3000.0),
+                              n_realizations=n_realizations, seed=seed)
+    area = config.window.area
     log2_beta = math.log2(1.0 + params.beta)
-    rp = _radio_params(params)
+    rp = config.radio_params()
 
     ase = {key: [] for key in ((dl, ps) for dl in deltas for ps in ps_values)}
     cov = {key: [] for key in ase}
     for index in range(n_realizations):
-        real = _sample_realization(params, window, seed, index, refresh_fading=False)
+        real = sample_realization(config, index)
         powers = radio.LinkPowers.build(np.arange(len(real.pairs)), real.pairs, real.assoc,
                                         real.fading_est, rp)
         for delta in deltas:

@@ -7,10 +7,11 @@ from d2dsim.spatial import Window
 BETA_5DB = 10.0 ** 0.5
 
 # Long Monte Carlo runs, skipped by `pytest -m "not slow"`: criterion 3
-# (about 140 s on one core; 420 s before the shared power kernel) and every
-# user of the module-scoped comparison fixture (about 25 s to build; 70 s
-# before).  They are marked here, by name, so the acceptance module stays
-# as written.
+# (about 110 s on one core; 420 s before the shared power kernel) and every
+# user of the module-scoped comparison fixture (about 14 s to build, since
+# the schemes and the channel-aware tuning each share one sample of every
+# realization; 25 s before).  They are marked here, by name, so the
+# acceptance module stays as written.
 SLOW_TESTS = {"test_criterion_3_comparison_table_reproduction"}
 SLOW_FIXTURES = {"comparison"}
 

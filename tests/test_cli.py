@@ -209,7 +209,8 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     def computation_started(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any computation")
 
-    for module, name in ((cli.simkit, "run_experiment"), (cli.simkit, "sweep"),
+    for module, name in ((cli.simkit, "run_experiment"), (cli.simkit, "run_schemes"),
+                         (cli.simkit, "sweep"),
                          (cli.planner, "decoupled_optimize"),
                          (cli.planner, "solve_guard_radius")):
         monkeypatch.setattr(module, name, computation_started)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2dsim import analytic, simkit
+from d2dsim import analytic, cli, simkit
 from d2dsim.access import SchemeSpec
 from d2dsim.errors import ParameterError
 from d2dsim.simkit import ExperimentConfig
@@ -119,6 +119,60 @@ class TestRunExperiment:
                    - analytic.max_cellular_coverage(params)) < 0.02
 
 
+ALL_SCHEMES = [
+    SchemeSpec(kind="no_ac"),
+    SchemeSpec(kind="guard_zone_only", delta=100.0),
+    SchemeSpec(kind="channel_aware", delta=100.0, p_s=0.5),
+    SchemeSpec(kind="channel_aware", delta=100.0, g_min=1e-7),
+    SchemeSpec(kind="proposed_threshold", delta=100.0, g=1.0),
+    SchemeSpec(kind="proposed_top_fraction", delta=100.0, p_s=0.55),
+]
+
+
+def count_samples(monkeypatch) -> list:
+    """Record the index of every realization simkit samples from now on."""
+    sampled = []
+    original = simkit.sample_realization
+
+    def counting(config, index):
+        sampled.append(index)
+        return original(config, index)
+
+    monkeypatch.setattr(simkit, "sample_realization", counting)
+    return sampled
+
+
+class TestRunSchemes:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_equals_one_experiment_per_scheme(self, n_jobs, refresh):
+        cfg = tiny_config(n_jobs=n_jobs, refresh_fading_between_phases=refresh,
+                          ccdf_points_db=(-5.0, 0.0, 5.0))
+        reports = simkit.run_schemes(cfg, ALL_SCHEMES)
+        assert reports == [simkit.run_experiment(dataclasses.replace(cfg, scheme=scheme))
+                           for scheme in ALL_SCHEMES]
+
+    def test_samples_each_realization_once(self, monkeypatch):
+        sampled = count_samples(monkeypatch)
+        reports = simkit.run_schemes(tiny_config(), ALL_SCHEMES)
+        assert len(reports) == len(ALL_SCHEMES)
+        assert sampled == list(range(6))
+
+    @pytest.mark.parametrize("caller", ["tune_channel_aware", "compare_schemes", "sweep"])
+    def test_callers_sample_each_realization_once(self, monkeypatch, caller):
+        rc = cli.resolve_config({"lambda_m": "4e-6", "lambda_d": "4e-5", "window_m": "1000",
+                                 "n_realizations": "3", "seed": "7",
+                                 "scheme.kind": "guard_zone_only", "scheme.delta": "0"})
+        sampled = count_samples(monkeypatch)
+        if caller == "tune_channel_aware":
+            cli.tune_channel_aware(rc, n_tuning=3)
+        elif caller == "compare_schemes":
+            cli.compare_schemes(rc, subset=("proposed", "guard_zone_only", "no_ac"))
+        else:
+            simkit.sweep(rc.experiment(), "delta", [0.0, 100.0, 200.0])
+        assert sampled == [0, 1, 2]
+
+
 class TestEmpiricalCcdf:
     def test_below_minimum_is_one(self):
         assert simkit.empirical_ccdf([2.0, 3.0], [1.0])[0] == 1.0
@@ -188,6 +242,19 @@ class TestSweep:
         [(mu, _report)] = simkit.sweep(cfg, "mu", [1.0])
         assert mu == 1.0
 
+    @pytest.mark.parametrize("axis, values, scheme", [
+        ("p_s", [0.5, 0.6, 1.5], SchemeSpec(kind="proposed_top_fraction", delta=0.0, p_s=0.5)),
+        ("lambda_d", [6e-5, -1.0], SchemeSpec(kind="no_ac")),
+    ])
+    def test_every_value_is_checked_before_any_realization(self, monkeypatch, axis, values,
+                                                           scheme):
+        def sampled(*args):
+            raise AssertionError("a realization was sampled before the last value was checked")
+
+        monkeypatch.setattr(simkit, "sample_realization", sampled)
+        with pytest.raises(ParameterError):
+            simkit.sweep(tiny_config(scheme=scheme), axis, values)
+
     def test_mu_axis_rejects_baseline_schemes(self):
         with pytest.raises(ParameterError):
             simkit.sweep(tiny_config(), "mu", [0.3])
@@ -217,3 +284,7 @@ class TestTopFractionGrid:
         # an empty sample would give NaN for every grid cell
         with pytest.raises(ParameterError, match="n_realizations"):
             simkit.run_topfraction_grid(make_params(), [100.0], [0.5], 0, 1)
+
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            simkit.run_topfraction_grid(make_params(), [100.0], [0.5], 5, -1)
