@@ -89,56 +89,65 @@ class SchemeSpec:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActiveSet:
     """Outcome of an activation rule for one network realization.
 
-    ``powers`` carries the estimation phase's received powers over the
-    candidates when the rule measured them, so the data phase can slice
-    them instead of recomputing.
+    ``candidates`` are the sorted ids of the links that passed stage 1 and
+    ``on_air`` the ascending positions among them of the admitted links.
+    When the rule ran the estimation phase, ``powers`` holds its received
+    powers over the candidates (``powers.links`` is ``candidates``) and
+    ``sir`` the estimated SIR at each candidate, so stage 2 and the data
+    phase slice them instead of recomputing.  ``active_ids`` and
+    ``candidate_ids`` give the same link sets as frozensets.
     """
 
-    active_ids: frozenset
-    candidate_ids: frozenset
-    powers: radio.LinkPowers | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.active_ids <= self.candidate_ids:
-            raise ParameterError("active links must be candidates")
+    candidates: np.ndarray
+    on_air: np.ndarray
+    powers: radio.LinkPowers | None = field(default=None, repr=False)
+    sir: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.active_ids)
+        return len(self.on_air)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Sorted ids of the admitted links."""
+        return self.candidates[self.on_air]
+
+    @property
+    def active_ids(self) -> frozenset:
+        return frozenset(self.active.tolist())
+
+    @property
+    def candidate_ids(self) -> frozenset:
+        return frozenset(self.candidates.tolist())
 
 
 def stage1_guard_zone(pairs: spatial.D2DPairSet, bs_points: spatial.PointSet,
-                      delta: float) -> frozenset:
-    """Candidate link ids: transmitters strictly outside every guard zone."""
-    mask = spatial.outside_holes_mask(pairs.transmitters, bs_points, delta)
-    return frozenset(np.flatnonzero(mask).tolist())
+                      delta: float) -> np.ndarray:
+    """Sorted candidate link ids: transmitters strictly outside every guard zone."""
+    return np.flatnonzero(spatial.outside_holes_mask(pairs.transmitters, bs_points, delta))
 
 
-def estimation_phase(candidate_ids, pairs: spatial.D2DPairSet, assoc: spatial.CellAssociation,
-                     fading: radio.FadingTable, params: radio.RadioParams,
-                     powers: radio.LinkPowers | None = None) -> dict:
-    """Estimated SIR per candidate with every candidate transmitting at once.
+def estimation_phase(candidates, pairs: spatial.D2DPairSet, assoc: spatial.CellAssociation,
+                     fading: radio.FadingTable, params: radio.RadioParams) -> ActiveSet:
+    """Every candidate on air, with its estimated SIR while all of them transmit.
 
     All uplink users interfere as well; this is the test-signal stage of the
-    two-stage protocol.  ``powers``, when given, are the candidates' received
-    powers under ``fading`` and are read instead of recomputed.
+    two-stage protocol.  ``candidates`` are sorted link ids.
     """
-    if powers is None:
-        powers = radio.LinkPowers.build(radio.link_ids(candidate_ids), pairs, assoc,
-                                        fading, params)
-    sir = radio.sir(*powers.d2d())
-    return dict(zip(powers.links.tolist(), sir.tolist()))
+    ids = np.asarray(candidates, dtype=np.intp)
+    powers = radio.LinkPowers.build(ids, pairs, assoc, fading, params)
+    return ActiveSet(candidates=ids, on_air=np.arange(len(ids)), powers=powers,
+                     sir=radio.sir(*powers.d2d()))
 
 
-def stage2_threshold(estimated: dict, g: float) -> ActiveSet:
+def stage2_threshold(estimated: ActiveSet, g: float) -> ActiveSet:
     """Admit every candidate whose estimated SIR strictly beats ``g``."""
     if not g > 0:
         raise ParameterError("SIR threshold must be positive")
-    active = frozenset(i for i, v in estimated.items() if v > g)
-    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))
+    return replace(estimated, on_air=np.flatnonzero(estimated.sir > g))
 
 
 def admitted_count(p_s: float, n: int) -> int:
@@ -152,21 +161,25 @@ def admitted_count(p_s: float, n: int) -> int:
     return nearest if abs(k - nearest) <= 1e-9 else math.ceil(k)
 
 
-def stage2_top_fraction(estimated: dict, p_s: float) -> ActiveSet:
-    """Admit the ``admitted_count(p_s, n)`` candidates with the highest
-    estimated SIR.
+def rank_by_sir(sir: np.ndarray) -> np.ndarray:
+    """Positions of ``sir`` from the highest SIR down.
 
-    Ties break toward the smaller link id so the choice is deterministic.
+    ``sir`` is aligned with sorted link ids, so the stable sort breaks ties
+    toward the smaller link id and the choice is deterministic.
     """
+    return np.argsort(-sir, kind="stable")
+
+
+def stage2_top_fraction(estimated: ActiveSet, p_s: float) -> ActiveSet:
+    """Admit the ``admitted_count(p_s, n)`` candidates ranked first by
+    :func:`rank_by_sir`."""
     if not 0 <= p_s <= 1:
         raise ParameterError("p_s must be in [0, 1]")
-    k = admitted_count(p_s, len(estimated))
-    ranked = sorted(estimated, key=lambda i: (-estimated[i], i))
-    active = frozenset(ranked[:k])
-    return ActiveSet(active_ids=active, candidate_ids=frozenset(estimated))
+    k = admitted_count(p_s, len(estimated.candidates))
+    return replace(estimated, on_air=np.sort(rank_by_sir(estimated.sir)[:k]))
 
 
-def channel_aware_activate(pairs: spatial.D2DPairSet, candidate_ids,
+def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
                            fading: radio.FadingTable, params: radio.RadioParams,
                            g_min: float | None = None, p_s: float | None = None) -> ActiveSet:
     """Admit candidates whose own-link gain ``|h|^2 d^-alpha`` beats ``g_min``.
@@ -174,19 +187,17 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidate_ids,
     With ``p_s`` given instead, the threshold is backed out of the Rayleigh
     admission probability ``exp(-g_min d^alpha) = p_s``.  Decisions depend
     only on the link's own fading, so the thinning is independent.
+    ``candidates`` are sorted link ids.
     """
     if (g_min is None) == (p_s is None):
         raise ParameterError("give exactly one of g_min or p_s")
-    candidates = radio.link_ids(candidate_ids)
     if g_min is None:
         if not 0 <= p_s <= 1:
             raise ParameterError("p_s must be in [0, 1]")
-        if p_s == 0:
-            return ActiveSet(frozenset(), frozenset(candidates.tolist()))
-        g_min = -math.log(p_s) / pairs.link_length ** params.alpha
-    own_gain = fading.gains[candidates, candidates] * pairs.link_length ** -params.alpha
-    return ActiveSet(active_ids=frozenset(candidates[own_gain > g_min].tolist()),
-                     candidate_ids=frozenset(candidates.tolist()))
+        g_min = -math.log(p_s) / pairs.link_length ** params.alpha if p_s else math.inf
+    ids = np.asarray(candidates, dtype=np.intp)
+    own_gain = fading.gains[ids, ids] * pairs.link_length ** -params.alpha
+    return ActiveSet(candidates=ids, on_air=np.flatnonzero(own_gain > g_min))
 
 
 def apply_scheme(spec: SchemeSpec, realization, fading: radio.FadingTable,
@@ -198,18 +209,15 @@ def apply_scheme(spec: SchemeSpec, realization, fading: radio.FadingTable,
     """
     pairs, bs, assoc = realization.pairs, realization.bs, realization.assoc
     if spec.kind == NO_AC:
-        everyone = frozenset(range(len(pairs)))
-        return ActiveSet(active_ids=everyone, candidate_ids=everyone)
+        everyone = np.arange(len(pairs))
+        return ActiveSet(candidates=everyone, on_air=everyone)
     candidates = stage1_guard_zone(pairs, bs, spec.delta)
     if spec.kind == GUARD_ZONE_ONLY:
-        return ActiveSet(active_ids=candidates, candidate_ids=candidates)
+        return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)))
     if spec.kind == CHANNEL_AWARE:
         return channel_aware_activate(pairs, candidates, fading, params,
                                       g_min=spec.g_min, p_s=spec.p_s)
-    powers = radio.LinkPowers.build(radio.link_ids(candidates), pairs, assoc, fading, params)
-    estimated = estimation_phase(candidates, pairs, assoc, fading, params, powers=powers)
+    estimated = estimation_phase(candidates, pairs, assoc, fading, params)
     if spec.kind == PROPOSED_THRESHOLD:
-        chosen = stage2_threshold(estimated, spec.g)
-    else:
-        chosen = stage2_top_fraction(estimated, spec.p_s)
-    return replace(chosen, powers=powers)
+        return stage2_threshold(estimated, spec.g)
+    return stage2_top_fraction(estimated, spec.p_s)

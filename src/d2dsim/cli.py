@@ -214,11 +214,6 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     )
 
 
-def serialize_config(rc: RunConfig) -> str:
-    """Emit the resolved config as a parseable flat key=value file."""
-    return "".join(f"{key} = {value}\n" for key, value in sorted(rc.raw.items()))
-
-
 def _config_hash(rc: RunConfig) -> str:
     payload = json.dumps(rc.resolved_dict(), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -393,8 +388,8 @@ def main(argv=None) -> int:
         elif args.subcommand == "simulate":
             report = simkit.run_experiment(rc.experiment())
             print(_report_csv(report), end="")
-            _emit(out_dir, "simulate", args.config, rc,
-                  {"report.json": report.to_dict(), "report.csv": _report_csv(report)}, started)
+            files = {"report.json": dataclasses.asdict(report), "report.csv": _report_csv(report)}
+            _emit(out_dir, "simulate", args.config, rc, files, started)
         elif args.subcommand == "optimize":
             plan = planner.decoupled_optimize(rc.params, rc.constraint())
             payload = plan.to_dict()

@@ -93,9 +93,8 @@ def draw_fading(n_links: int, n_cells: int, rng: np.random.Generator) -> FadingT
     return FadingTable(gains=gains, n_links=n_links)
 
 
-def link_ids(active) -> np.ndarray:
-    """Sorted link ids of an activation result (has .active_ids) or a plain id collection."""
-    ids = getattr(active, "active_ids", active)
+def link_ids(ids) -> np.ndarray:
+    """A collection of link ids as a sorted index array."""
     return np.fromiter(sorted(ids), dtype=np.intp, count=len(ids))
 
 
@@ -123,7 +122,7 @@ def d2d_power_matrix(tx_indices, rx_indices, pairs: D2DPairSet, fading: FadingTa
     power = pairwise_distance(sources, sinks, pairs.window, squared=True)
     if power.size and power.min() <= 0.0:
         raise NumericalError("zero distance: a transmitter sits on a receiver")
-    tx_mw = np.full((len(sources), 1), params.p_c_mw)
+    tx_mw = np.full((len(sources), 1), params.p_c_mw, dtype=float)
     tx_mw[:len(tx)] = params.p_d_mw
     if params.alpha == 4:
         np.multiply(power, power, out=power)

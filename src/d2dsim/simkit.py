@@ -56,6 +56,9 @@ class ExperimentConfig:
             raise ParameterError("n_jobs must be positive")
         if not 0 <= self.rate_ceiling < math.inf:
             raise ParameterError("rate_ceiling must be finite and nonnegative")
+        if not all(map(math.isfinite, self.ccdf_points_db)):
+            raise ParameterError(
+                f"ccdf_points_db must be finite, got {list(self.ccdf_points_db)}")
         if any(b < a for a, b in zip(self.ccdf_points_db, self.ccdf_points_db[1:])):
             raise ParameterError(
                 f"ccdf_points_db must be sorted ascending, got {list(self.ccdf_points_db)}")
@@ -97,15 +100,16 @@ class RealizationMetrics:
     sir_samples_cell: tuple = ()
 
 
+STATS = ("d2d_success_prob", "cellular_coverage", "ase", "r_d", "r_c",
+         "active_fraction", "candidate_fraction")
+
+
 @dataclass(frozen=True)
 class MetricStat:
     mean: float
     ci_low: float
     ci_high: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "ci_low": self.ci_low, "ci_high": self.ci_high, "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -126,26 +130,9 @@ class MetricsReport:
     n_infinite_sir: int
     n_resampled: int
 
-    def to_dict(self) -> dict:
-        out = {
-            "n_realizations": self.n_realizations,
-            "n_infinite_sir": self.n_infinite_sir,
-            "n_resampled": self.n_resampled,
-            "ccdf_abscissae_db": list(self.ccdf_abscissae_db),
-            "ccdf_d2d": list(self.ccdf_d2d),
-            "ccdf_cell": list(self.ccdf_cell),
-        }
-        for name in ("d2d_success_prob", "cellular_coverage", "ase", "r_d", "r_c",
-                     "active_fraction", "candidate_fraction"):
-            out[name] = getattr(self, name).to_dict()
-        return out
-
     def csv_rows(self):
-        for name in ("d2d_success_prob", "cellular_coverage", "ase", "r_d", "r_c",
-                     "active_fraction", "candidate_fraction"):
-            s: MetricStat = getattr(self, name)
-            yield {"metric": name, "mean": s.mean, "ci_low": s.ci_low,
-                   "ci_high": s.ci_high, "n": s.n}
+        for name in STATS:
+            yield {"metric": name, **dataclasses.asdict(getattr(self, name))}
 
 
 def realization_rng(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
@@ -181,9 +168,10 @@ def _capped_rate(sir: np.ndarray, ceiling: float) -> np.ndarray:
     return np.where(np.isinf(sir), ceiling, rate)
 
 
-def _data_phase(active: ActiveSet, links: np.ndarray, real: Realization,
-                rp: radio.RadioParams, refresh_fading: bool):
-    """Received powers for the data phase, and the active links' positions in them.
+def _data_phase(active: ActiveSet, real: Realization, rp: radio.RadioParams,
+                refresh_fading: bool):
+    """Received powers for the data phase, and the positions in them of the
+    links on air (``None``: all of them).
 
     The estimation phase's matrix is sliced under coherent fading and
     re-faded (same pathloss) under refreshed fading; schemes without an
@@ -191,20 +179,19 @@ def _data_phase(active: ActiveSet, links: np.ndarray, real: Realization,
     """
     measured = active.powers
     if measured is None:
-        return radio.LinkPowers.build(links, real.pairs, real.assoc, real.fading_data, rp), None
-    on_air = np.searchsorted(measured.links, links)
+        return radio.LinkPowers.build(active.active, real.pairs, real.assoc,
+                                      real.fading_data, rp), None
     if refresh_fading:
-        return measured.refade(on_air, real.fading_data), None
-    return measured, on_air
+        return measured.refade(active.on_air, real.fading_data), None
+    return measured, active.on_air
 
 
 def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) -> RealizationMetrics:
     """Apply ``scheme`` to one sampled network and measure the data phase."""
     rp = config.radio_params()
     params = config.params
-    active: ActiveSet = access.apply_scheme(scheme, real, real.fading_est, rp)
-    links = radio.link_ids(active)
-    powers, on_air = _data_phase(active, links, real, rp, config.refresh_fading_between_phases)
+    active = access.apply_scheme(scheme, real, real.fading_est, rp)
+    powers, on_air = _data_phase(active, real, rp, config.refresh_fading_between_phases)
     sir_d = radio.sir(*powers.d2d(on_air))
     sir_c = radio.sir(*powers.cellular(on_air))
 
@@ -212,8 +199,8 @@ def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) ->
     return RealizationMetrics(
         index=real.index,
         n_potential=len(real.pairs),
-        n_candidates=len(active.candidate_ids),
-        n_active=len(links),
+        n_candidates=len(active.candidates),
+        n_active=len(active),
         d2d_successes=int((sir_d > params.beta).sum()),
         d2d_shannon_sum=float(_capped_rate(sir_d, config.rate_ceiling).sum()),
         cellular_covered=int((sir_c > params.gamma).sum()),
@@ -401,10 +388,8 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
         powers = radio.LinkPowers.build(np.arange(len(real.pairs)), real.pairs, real.assoc,
                                         real.fading_est, rp)
         for delta in deltas:
-            cand = np.flatnonzero(spatial.outside_holes_mask(real.pairs.transmitters,
-                                                             real.bs, delta))
-            est = radio.sir(*powers.d2d(cand))
-            ranked = cand[np.lexsort((cand, -est))]     # best estimated SIR first, id tiebreak
+            cand = access.stage1_guard_zone(real.pairs, real.bs, delta)
+            ranked = cand[access.rank_by_sir(radio.sir(*powers.d2d(cand)))]
             counts = [access.admitted_count(ps, len(cand)) for ps in ps_values]
             for ps, (sig, inter, inter_c) in zip(ps_values, powers.nested(ranked, counts)):
                 n_success = int((radio.sir(sig, inter) > params.beta).sum())

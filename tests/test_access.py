@@ -23,6 +23,13 @@ def small_realization(i=0, lambda_d=3e-5, lambda_m=2e-6, window=None):
     return simkit.sample_realization(cfg, 0), cfg.radio_params()
 
 
+def estimated(sir, candidates=None):
+    """An estimation-phase result: every candidate on air with SIR ``sir``."""
+    sir = np.asarray(sir, dtype=float)
+    candidates = np.arange(len(sir)) if candidates is None else np.asarray(candidates)
+    return access.ActiveSet(candidates=candidates, on_air=np.arange(len(sir)), sir=sir)
+
+
 class TestSchemeSpec:
     def test_each_kind_validates_required_fields(self):
         SchemeSpec(kind="proposed_threshold", delta=100.0, g=1.0)
@@ -53,12 +60,13 @@ class TestStage1:
     def test_zero_radius_keeps_all(self):
         real, _ = small_realization(0)
         cands = access.stage1_guard_zone(real.pairs, real.bs, 0.0)
-        assert cands == frozenset(range(len(real.pairs)))
+        assert cands.dtype == np.intp
+        np.testing.assert_array_equal(cands, np.arange(len(real.pairs)))
 
     def test_window_covering_radius_empties(self):
         real, _ = small_realization(1)
         cands = access.stage1_guard_zone(real.pairs, real.bs, 2000.0)
-        assert cands == frozenset()
+        assert cands.dtype == np.intp and cands.size == 0
 
     def test_expected_candidate_fraction(self, window):
         # survival at delta=250 under 1e-6 holes: exp(-pi * 1e-6 * 250^2)
@@ -85,7 +93,8 @@ class TestEstimationPhase:
         fading = radio.draw_fading(1, 0, seeded())
         rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         est = access.estimation_phase([0], pairs, assoc, fading, rp)
-        assert math.isinf(est[0])
+        assert len(est) == 1
+        assert math.isinf(est.sir[0])
 
     def test_two_candidates_hand_computation(self, window):
         # two parallel pairs 300 m apart, no cellular users, unit fading
@@ -100,18 +109,16 @@ class TestEstimationPhase:
         est = access.estimation_phase([0, 1], pairs, assoc, fading, rp)
         cross = math.hypot(50.0, 300.0)
         expected = (0.1 * 50.0 ** -4) / (0.1 * cross ** -4)
-        assert est[0] == pytest.approx(expected, rel=1e-12)
-        assert est[1] == pytest.approx(expected, rel=1e-12)
+        assert est.sir == pytest.approx([expected, expected], rel=1e-12)
 
     def test_adding_a_candidate_weakly_lowers_everyone(self):
         real, rp = small_realization(2)
         n = len(real.pairs)
         assert n >= 3
-        subset = list(range(n - 1))
-        est_small = access.estimation_phase(subset, real.pairs, real.assoc, real.fading_est, rp)
+        est_small = access.estimation_phase(range(n - 1), real.pairs, real.assoc,
+                                            real.fading_est, rp)
         est_big = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, rp)
-        for i in subset:
-            assert est_big[i] <= est_small[i] * (1 + 1e-12)
+        assert np.all(est_big.sir[:n - 1] <= est_small.sir * (1 + 1e-12))
 
     def test_matches_single_link_sir(self):
         real, rp = small_realization(3)
@@ -120,18 +127,16 @@ class TestEstimationPhase:
         for i in (0, n // 2, n - 1):
             _, signal, inter = radio.d2d_sir_values(range(n), [i], real.pairs, real.assoc,
                                                     real.fading_est, rp)
-            assert est[i] == pytest.approx(signal[0] / inter[0], rel=1e-12)
+            assert est.sir[i] == pytest.approx(signal[0] / inter[0], rel=1e-12)
 
 
 class TestStage2Threshold:
     def test_vanishing_threshold_admits_all(self):
-        est = {0: 0.5, 1: 2.0, 2: 0.01}
-        out = access.stage2_threshold(est, 1e-15)
-        assert out.active_ids == frozenset(est)
+        out = access.stage2_threshold(estimated([0.5, 2.0, 0.01]), 1e-15)
+        assert out.on_air.tolist() == [0, 1, 2]
 
     def test_huge_threshold_admits_none(self):
-        est = {0: 0.5, 1: 2.0}
-        assert access.stage2_threshold(est, 1e15).active_ids == frozenset()
+        assert len(access.stage2_threshold(estimated([0.5, 2.0]), 1e15)) == 0
 
     def test_monotone_in_threshold(self):
         real, rp = small_realization(4)
@@ -144,38 +149,55 @@ class TestStage2Threshold:
 
 class TestStage2TopFraction:
     def test_all_or_nothing(self):
-        est = {i: float(i) for i in range(7)}
-        assert access.stage2_top_fraction(est, 1.0).active_ids == frozenset(est)
-        assert access.stage2_top_fraction(est, 0.0).active_ids == frozenset()
+        est = estimated(range(7))
+        assert access.stage2_top_fraction(est, 1.0).active.tolist() == list(range(7))
+        assert len(access.stage2_top_fraction(est, 0.0)) == 0
 
     def test_half_of_ten_matches_sort_oracle(self):
         rng = seeded(5)
-        est = {i: float(v) for i, v in enumerate(rng.uniform(0, 10, size=10))}
-        out = access.stage2_top_fraction(est, 0.5)
-        oracle = sorted(est, key=lambda i: (-est[i], i))[:5]
-        assert out.active_ids == frozenset(oracle)
+        sir = rng.uniform(0, 10, size=10)
+        out = access.stage2_top_fraction(estimated(sir), 0.5)
+        oracle = sorted(range(10), key=lambda i: (-sir[i], i))[:5]
+        assert out.active.tolist() == sorted(oracle)
 
     def test_ceiling_count_and_tie_break(self):
-        est = {0: 1.0, 1: 1.0, 2: 1.0}
-        out = access.stage2_top_fraction(est, 0.4)   # ceil(1.2) = 2, lowest ids win ties
-        assert out.active_ids == frozenset({0, 1})
+        out = access.stage2_top_fraction(estimated([1.0, 1.0, 1.0]), 0.4)
+        assert out.active.tolist() == [0, 1]         # ceil(1.2) = 2, lowest ids win ties
 
     def test_rounding_does_not_over_admit(self):
-        est = {i: float(i) for i in range(100)}
         assert 0.55 * 100 > 55                      # 55.00000000000001
-        out = access.stage2_top_fraction(est, 0.55)
-        assert out.active_ids == frozenset(range(45, 100))
+        out = access.stage2_top_fraction(estimated(range(100)), 0.55)
+        assert out.active.tolist() == list(range(45, 100))
         assert access.admitted_count(0.55, 100) == 55
         assert access.admitted_count(0.551, 100) == 56
 
     def test_monotone_by_inclusion(self):
         rng = seeded(6)
-        est = {i: float(v) for i, v in enumerate(rng.uniform(0, 10, size=23))}
-        previous = frozenset()
+        est = estimated(rng.uniform(0, 10, size=23))
+        previous = np.zeros(0, dtype=np.intp)
         for p in np.linspace(0.0, 1.0, 11):
-            current = access.stage2_top_fraction(est, float(p)).active_ids
-            assert previous <= current
+            current = access.stage2_top_fraction(est, float(p)).active
+            assert np.isin(previous, current).all()
             previous = current
+
+    def test_ties_and_infinities_admit_what_the_grid_admits(self, monkeypatch):
+        # the top-fraction grid admits each prefix of cand[rank_by_sir(sir)]
+        cand = np.array([2, 5, 7, 11, 12, 20])
+        sir = np.array([1.0, np.inf, 3.0, np.inf, 1.0, 3.0])
+        ranked = cand[access.rank_by_sir(sir)]
+        oracle = [int(i) for _, i in sorted(zip(-sir, cand))]
+        assert ranked.tolist() == oracle == [5, 11, 7, 20, 2, 12]
+        for p in np.linspace(0.0, 1.0, 13):
+            k = access.admitted_count(float(p), len(cand))
+            out = access.stage2_top_fraction(estimated(sir, cand), float(p))
+            assert out.active.tolist() == sorted(ranked[:k].tolist())
+
+        ranked_in_grid = []
+        rank = access.rank_by_sir
+        monkeypatch.setattr(access, "rank_by_sir",
+                            lambda s: ranked_in_grid.append(s) or rank(s))
+        simkit.run_topfraction_grid(make_params(), [100.0], [0.5], 1, 1)
+        assert len(ranked_in_grid) == 1
 
 
 class TestChannelAware:
@@ -258,15 +280,11 @@ class TestApplyScheme:
         real, rp = small_realization(11)
         out = access.apply_scheme(SchemeSpec(kind="proposed_threshold", delta=100.0, g=0.8),
                                   real, real.fading_est, rp)
-        if not out.active_ids:
+        if not len(out):
             pytest.skip("no active links in this draw")
-        estimated = access.estimation_phase(out.candidate_ids, real.pairs, real.assoc,
-                                            real.fading_est, rp)
-        _, sig, inter = radio.d2d_sir_values(out.active_ids, out.active_ids, real.pairs,
+        _, sig, inter = radio.d2d_sir_values(out.active, out.active, real.pairs,
                                              real.assoc, real.fading_data, rp)
-        for link, s, i in zip(sorted(out.active_ids), sig, inter):
-            data_sir = s / i if i > 0 else math.inf
-            assert data_sir >= estimated[link] * (1 - 1e-12)
+        assert np.all(radio.sir(sig, inter) >= out.sir[out.on_air] * (1 - 1e-12))
 
 
 class TestActivationStatistics:

@@ -53,14 +53,6 @@ class TestConfigParsing:
         rc = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, body)))
         assert rc.scheme.g == pytest.approx(10 ** (-0.059), rel=1e-12)
 
-    def test_round_trip_parse_serialize_parse(self, tmp_path):
-        body = TABLE_CONFIG + "scheme.kind = proposed_top_fraction\nscheme.delta = 229\nscheme.p_s = 0.45\n"
-        rc1 = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, body)))
-        path2 = write_config(tmp_path, cli.serialize_config(rc1), name="round.cfg")
-        rc2 = cli.resolve_config(cli.parse_config_file(path2))
-        assert rc1.resolved_dict() == rc2.resolved_dict()
-        assert cli.serialize_config(rc1) == cli.serialize_config(rc2)
-
     def test_seed_override(self, tmp_path):
         rc = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, TABLE_CONFIG)),
                                 seed_override=999)

@@ -82,6 +82,12 @@ class TestRunExperiment:
         many = simkit.run_experiment(tiny_config(n_jobs=64))
         assert many == simkit.run_experiment(tiny_config(n_jobs=1))
 
+    def test_integer_cellular_power_keeps_d2d_power(self):
+        # an int p_c_mw once gave the power column an int dtype, storing p_d_mw = 0.1 as 0
+        as_int = dataclasses.replace(tiny_config(), params=make_params(lambda_d=4e-5,
+                                                                       lambda_m=4e-6, p_c_mw=10))
+        assert simkit.run_experiment(as_int) == simkit.run_experiment(tiny_config())
+
     def test_ci_shrinks_with_realizations(self):
         small = simkit.run_experiment(tiny_config(n_realizations=32))
         large = simkit.run_experiment(tiny_config(n_realizations=512))

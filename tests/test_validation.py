@@ -39,6 +39,10 @@ def test_experiment_config_guards():
     with pytest.raises(ParameterError, match="ccdf_points_db"):
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
                          ccdf_points_db=(10.0, 0.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="ccdf_points_db"):
+            ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
+                             ccdf_points_db=(0.0, bad))
 
 
 def test_cell_association_accessors(window):
