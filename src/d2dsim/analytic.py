@@ -201,6 +201,33 @@ def warn_if_loose(delta: float, lambda_m: float):
             stacklevel=3)
 
 
+# Entries of the keep-out average memo, one per distinct outer node.  A
+# coverage call visits at most a few hundred; a full memo holds about 0.4 MB.
+_KEEPOUT_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=_KEEPOUT_CACHE_SIZE)
+def _keepout_average(s: float, lam_m: float, alpha: float, dmin_law: str) -> float:
+    """Uplink-user interference Laplace transform at ``s``, averaged over the
+    keep-out radius drawn from ``dmin_law``.
+
+    Depends on neither the guard radius nor the D2D density, so the
+    bisection probes of one guard-radius solve, which revisit the same outer
+    nodes, reuse it instead of re-integrating.
+    """
+    if dmin_law == NEAREST_LAW:
+        dmin_pdf = pdf_link_distance
+        r_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
+    else:
+        dmin_pdf = pdf_dmin
+        r_max = _dmin_quantile(1.0 - _TAIL_MASS, lam_m)
+
+    def f(r: float) -> float:
+        return dmin_pdf(r, lam_m) * modified_laplace(s, lam_m, r, alpha)
+
+    return _quad(f, 0.0, r_max)
+
+
 def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
                       params: SystemParams, dmin_law: str = NEAREST_LAW,
                       warn: bool = True) -> float:
@@ -210,7 +237,8 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     random per-cell radius) and from active D2D transmitters (a PPP of the
     given density kept outside the radius-delta guard zone).  Averages over
     the serving-link distance and the keep-out radius by nested adaptive
-    quadrature with quantile-based truncation.
+    quadrature with quantile-based truncation; the inner average is
+    memoized per outer node by ``_keepout_average``.
 
     ``dmin_law`` selects the keep-out radius distribution: the default
     ``nearest`` (Rayleigh) law reproduces the published single-tier ceiling
@@ -227,27 +255,14 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     lam_m = params.lambda_m
     if warn:
         warn_if_loose(delta, lam_m)
-    if dmin_law == NEAREST_LAW:
-        dmin_pdf = pdf_link_distance
-        r_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
-    else:
-        dmin_pdf = pdf_dmin
-        r_max = _dmin_quantile(1.0 - _TAIL_MASS, lam_m)
     power_ratio = params.p_d_mw / params.p_c_mw
     x_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
 
-    def inner(x: float) -> float:
-        s = gamma * x ** params.alpha
-
-        def f(r: float) -> float:
-            return dmin_pdf(r, lam_m) * modified_laplace(s, lam_m, r, params.alpha)
-
-        return _quad(f, 0.0, r_max)
-
     def outer(x: float) -> float:
-        s_d2d = gamma * x ** params.alpha * power_ratio
-        keep = modified_laplace(s_d2d, active_d2d_density, delta, params.alpha)
-        return pdf_link_distance(x, lam_m) * inner(x) * keep
+        s = gamma * x ** params.alpha
+        keep = modified_laplace(s * power_ratio, active_d2d_density, delta, params.alpha)
+        return (pdf_link_distance(x, lam_m) * _keepout_average(s, lam_m, params.alpha, dmin_law)
+                * keep)
 
     return _quad(outer, 0.0, x_max)
 

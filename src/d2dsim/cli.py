@@ -224,8 +224,10 @@ def _write_json(path: Path, payload: dict):
 
 
 def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
-          files: dict, started: float):
-    """Write output files plus the manifest."""
+          files: dict, started: tuple):
+    """Write output files plus the manifest.  ``started`` holds the clock and
+    the keep-out memo counters read when the invocation began, so the
+    diagnostics count this invocation only."""
     emitted = []
     for name, content in files.items():
         path = out_dir / name
@@ -234,14 +236,21 @@ def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
         else:
             path.write_text(content)
         emitted.append(name)
+    clock, before = started
+    after = analytic._keepout_average.cache_info()
     manifest = {   # what the invocation produced, for provenance and reruns
         "subcommand": subcommand,
         "config_path": config_path,
         "out_dir": str(out_dir),
         "config_hash": _config_hash(rc),
         "files": sorted(emitted + ["manifest.json"]),
-        "duration_s": time.monotonic() - started,
+        "duration_s": time.monotonic() - clock,
         "config_resolved": rc.resolved_dict(),
+        "diagnostics": {"keepout_cache": {
+            "hits": after.hits - before.hits,
+            "misses": after.misses - before.misses,
+            "currsize": after.currsize,
+        }},
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.monotonic()
+    started = time.monotonic(), analytic._keepout_average.cache_info()
     try:
         rc = resolve_config(parse_config_file(Path(args.config)), seed_override=args.seed)
         if args.subcommand in ("simulate", "sweep", "compare"):

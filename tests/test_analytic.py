@@ -171,6 +171,39 @@ class TestCellularCoverage:
             analytic.cellular_coverage(1.0, 1e-5, 400.0, params6)
 
 
+class TestKeepoutCache:
+    def test_bounded_over_random_parameter_sets(self):
+        # acceptance criterion 6's generator: 100 networks, each its own lambda_m
+        memo = analytic._keepout_average
+        memo.cache_clear()
+        for i in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=60_000, spawn_key=(i,)))
+            params = make_params(lambda_m=float(rng.uniform(2e-6, 2e-5)),
+                                 lambda_d=float(rng.uniform(1e-5, 8e-5)),
+                                 d=float(rng.uniform(20.0, 60.0)))
+            rng.uniform(800.0, 1500.0)   # window side
+            rng.integers(1, 2 ** 31)     # seed
+            rng.uniform(0.3, 3.0)        # threshold
+            delta = float(rng.uniform(0.0, 250.0))
+            p_s = float(rng.uniform(0.1, 0.9))
+            analytic.cellular_coverage(1.0, p_s * params.lambda_d, delta, params, warn=False)
+        info = memo.cache_info()
+        assert info.misses > info.maxsize   # the memo did have to evict
+        assert info.currsize <= info.maxsize
+
+    def test_laws_do_not_mix(self, params6):
+        laws = (analytic.NEAREST_LAW, analytic.CELL_DISK_LAW)
+        cold = {}
+        for law in laws:
+            analytic._keepout_average.cache_clear()
+            cold[law] = analytic.cellular_coverage(1.0, 2e-5, 150.0, params6, dmin_law=law)
+        analytic._keepout_average.cache_clear()
+        for law in laws + laws[::-1]:
+            assert analytic.cellular_coverage(1.0, 2e-5, 150.0, params6,
+                                              dmin_law=law) == cold[law]
+        assert cold[analytic.NEAREST_LAW] != cold[analytic.CELL_DISK_LAW]
+
+
 class TestAccessThresholdMap:
     def test_full_admission_has_zero_threshold(self, params6):
         assert analytic.threshold_from_access_prob(1.0, params6) == 0.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from d2dsim import cli
+from d2dsim import analytic, cli
 
 TABLE_CONFIG = """
 # reference setup
@@ -129,6 +129,21 @@ class TestOptimizeCommand:
     def test_infeasible_constraint_exits_three(self, tmp_path):
         path = write_config(tmp_path, TABLE_CONFIG + "mu = 1e-9\nlambda_d = 1e-3\n")
         assert cli.main(["optimize", "--config", str(path)]) == 3
+
+    def test_manifest_counts_this_runs_keepout_cache(self, tmp_path):
+        path = write_config(tmp_path, TABLE_CONFIG)
+        analytic._keepout_average.cache_clear()
+        stats = []
+        for out in (tmp_path / "cold", tmp_path / "warm"):
+            assert cli.main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            stats.append(manifest["diagnostics"]["keepout_cache"])
+        cold, warm = stats
+        assert 0 < cold["misses"] < cold["hits"]
+        assert cold["currsize"] == cold["misses"]
+        # the second run finds every node the first one computed
+        assert warm["misses"] == 0 and warm["hits"] > 0
+        assert warm["currsize"] == cold["currsize"]
 
 
 class TestSweepCommand:

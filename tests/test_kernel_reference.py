@@ -1,16 +1,19 @@
-"""The received-power kernel against a slow per-link reference.
+"""The fast kernels against slow references.
 
-The reference recomputes every SIR of a realization one link at a time, from
-coordinates (``spatial.paired_distance``) and the raw fading gains read by
-position (links first, then cells), applies each access rule to those SIRs, and must reproduce
-``simkit.run_realization``: counts exactly, Shannon sums to 1e-9 relative.
+The Monte Carlo reference recomputes every SIR of a realization one link at a
+time, from coordinates (``spatial.paired_distance``) and the raw fading gains
+read by position (links first, then cells), applies each access rule to those
+SIRs, and must reproduce ``simkit.run_realization``: counts exactly, Shannon
+sums to 1e-9 relative.  The coverage reference nests the keep-out average
+inside the outer quadrature without a memo, and ``analytic.cellular_coverage``
+must reproduce it exactly.
 """
 import math
 
 import numpy as np
 import pytest
 
-from d2dsim import simkit, spatial
+from d2dsim import analytic, simkit, spatial
 from d2dsim.access import SchemeSpec
 from d2dsim.simkit import ExperimentConfig
 from d2dsim.spatial import Window
@@ -158,3 +161,48 @@ def test_topfraction_grid_matches_run_experiment(topology):
             assert cell["n"] == n
             assert cell["ase"] == pytest.approx(report.ase.mean, rel=1e-9)
             assert cell["coverage"] == pytest.approx(report.cellular_coverage.mean, rel=1e-9)
+
+
+def reference_coverage(gamma, density, delta, params, dmin_law):
+    """``cellular_coverage`` as nested quadrature, re-integrating the keep-out
+    average at every outer node of every call."""
+    lam_m = params.lambda_m
+    if dmin_law == analytic.NEAREST_LAW:
+        dmin_pdf = analytic.pdf_link_distance
+        r_max = analytic._link_distance_quantile(1.0 - analytic._TAIL_MASS, lam_m)
+    else:
+        dmin_pdf = analytic.pdf_dmin
+        r_max = analytic._dmin_quantile(1.0 - analytic._TAIL_MASS, lam_m)
+    power_ratio = params.p_d_mw / params.p_c_mw
+    x_max = analytic._link_distance_quantile(1.0 - analytic._TAIL_MASS, lam_m)
+
+    def inner(x):
+        s = gamma * x ** params.alpha
+
+        def f(r):
+            return dmin_pdf(r, lam_m) * analytic.modified_laplace(s, lam_m, r, params.alpha)
+
+        return analytic._quad(f, 0.0, r_max)
+
+    def outer(x):
+        s_d2d = gamma * x ** params.alpha * power_ratio
+        keep = analytic.modified_laplace(s_d2d, density, delta, params.alpha)
+        return analytic.pdf_link_distance(x, lam_m) * inner(x) * keep
+
+    return analytic._quad(outer, 0.0, x_max)
+
+
+@pytest.mark.parametrize("dmin_law", [analytic.NEAREST_LAW, analytic.CELL_DISK_LAW])
+@pytest.mark.parametrize("alpha", [4.0, 3.5])   # closed-form and quadrature Laplace
+def test_cellular_coverage_matches_nested_reference(alpha, dmin_law):
+    params = make_params(alpha=alpha)
+    for gamma, density, delta in ((1.0, 0.4463 * 6e-5, 229.0), (0.5, 2e-5, 0.0)):
+        want = reference_coverage(gamma, density, delta, params, dmin_law)
+        analytic._keepout_average.cache_clear()
+        cold = analytic.cellular_coverage(gamma, density, delta, params,
+                                          dmin_law=dmin_law, warn=False)
+        warm = analytic.cellular_coverage(gamma, density, delta, params,
+                                          dmin_law=dmin_law, warn=False)
+        assert analytic._keepout_average.cache_info().hits > 0
+        assert cold == want
+        assert warm == want

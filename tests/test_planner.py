@@ -166,6 +166,15 @@ class TestSolveGuardRadius:
         assert len(approx) == 1
         assert f"{plan.delta_star:.1f} m" in str(approx[0].message)
 
+    def test_probes_reuse_the_keepout_average(self, params6):
+        # every probe revisits the same outer nodes; only the first computes them
+        analytic.max_cellular_coverage.cache_clear()
+        analytic._keepout_average.cache_clear()
+        planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.3, gamma=1.0), params6)
+        info = analytic._keepout_average.cache_info()
+        assert info.misses > 0
+        assert info.hits >= 10 * info.misses
+
 
 class TestSingleTierCeilingCache:
     def test_cached_value_equals_uncached(self, params6):
