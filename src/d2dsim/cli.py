@@ -381,6 +381,7 @@ def main(argv=None) -> int:
             values = _parse_float_list(args.values, "--values")
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
+            simkit.check_sweep(rc.experiment(), args.axis, values)
         if args.subcommand == "compare" and args.tuning_realizations < 1:
             raise ConfigError(f"--tuning-realizations must be at least 1, "
                               f"got {args.tuning_realizations}")

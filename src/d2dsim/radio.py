@@ -4,10 +4,11 @@ The network is interference limited: thermal noise is pinned to zero and every
 quality metric is a signal-to-interference ratio.  A link with no interferer
 at all gets ``math.inf`` as a sentinel and is flagged by the caller.
 
-Every SIR comes from one received-power matrix (:func:`d2d_power_matrix`):
-rows are D2D transmitters then uplink users, columns are D2D receivers then
-base stations.  :class:`LinkPowers` holds it for one set of links and hands
-out signals as diagonals and interference as column sums.
+Every SIR comes from one received-power matrix: rows are D2D transmitters
+then uplink users, columns are D2D receivers then base stations.
+:func:`d2d_power_matrix` gives its pathloss, and :meth:`LinkPowers.build`,
+the one place where fading gains meet it, hands out signals as diagonals and
+interference as column sums.
 """
 from __future__ import annotations
 
@@ -67,23 +68,20 @@ class FadingTable:
             gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
 
-    def for_links(self, tx: np.ndarray, rx: np.ndarray, n_cells: int) -> np.ndarray:
-        """Gains from links ``tx`` then ``n_cells`` users to links ``rx`` then their BSs.
+    def for_links(self, links: np.ndarray, n_cells: int) -> np.ndarray:
+        """Gains from links ``links`` then ``n_cells`` users to the same links'
+        receivers then their BSs.
 
         Zero-copy when that is the whole table in stored order.
         """
-        for links in (tx, rx):
-            if len(links) and (links.min() < 0 or links.max() >= self.n_links):
-                raise ParameterError("the fading table has no gains for some link")
+        if len(links) and (links.min() < 0 or links.max() >= self.n_links):
+            raise ParameterError("the fading table has no gains for some link")
         if n_cells > len(self.gains) - self.n_links:
             raise ParameterError("the fading table has no gains for some cell")
-        cells = np.arange(self.n_links, self.n_links + n_cells)
-        rows = np.concatenate([tx, cells])
-        cols = np.concatenate([rx, cells])
-        if rows.size == len(self.gains) and np.array_equal(rows, np.arange(rows.size)) \
-                and np.array_equal(cols, rows):
+        index = np.concatenate([links, np.arange(self.n_links, self.n_links + n_cells)])
+        if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
             return self.gains
-        return _take(self.gains, rows, cols)
+        return _take(self.gains, index, index)
 
 
 def draw_fading(n_links: int, n_cells: int, rng: np.random.Generator) -> FadingTable:
@@ -98,23 +96,22 @@ def link_ids(ids) -> np.ndarray:
     return np.fromiter(sorted(ids), dtype=np.intp, count=len(ids))
 
 
-def d2d_power_matrix(tx_indices, rx_indices, pairs: D2DPairSet, fading: FadingTable | None,
-                     params: RadioParams, assoc: CellAssociation | None = None) -> np.ndarray:
-    """Received power (mW) from every transmitter at every receiver.
+def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
+                     assoc: CellAssociation | None = None) -> np.ndarray:
+    """Pathloss-only received power (mW) from every transmitter at every receiver.
 
-    This is the package's one received-power kernel.  Row k is the
-    transmitter of link ``tx_indices[k]``; column m is the receiver of link
-    ``rx_indices[m]``; entries where both belong to the same link carry that
-    link's own signal power.  With ``assoc`` the uplink users follow as rows
-    and the base stations as columns, so user ``u`` and base station ``u``
-    share an index.  ``fading=None`` gives the mean (pathloss-only) power.
-    Built from squared distances in one buffer: for alpha = 4 the pathloss
-    is ``1 / (d2 * d2)``, otherwise ``d2 ** (-alpha / 2)``.
+    This is the package's one pathloss kernel; :meth:`LinkPowers.build`
+    applies the fading.  Row k is the
+    transmitter of link ``links[k]`` and column k its receiver, so the
+    diagonal carries each link's own signal power.  With ``assoc`` the
+    uplink users follow as rows and the base stations as columns, so user
+    ``u`` and base station ``u`` share an index.  Built from squared
+    distances in one buffer: for alpha = 4 the pathloss is
+    ``1 / (d2 * d2)``, otherwise ``d2 ** (-alpha / 2)``.
     """
-    tx = np.asarray(tx_indices, dtype=np.intp)
-    rx = np.asarray(rx_indices, dtype=np.intp)
-    sources = pairs.transmitters.xy[tx]
-    sinks = pairs.receivers.xy[rx]
+    links = np.asarray(links, dtype=np.intp)
+    sources = pairs.transmitters.xy[links]
+    sinks = pairs.receivers.xy[links]
     n_cells = 0 if assoc is None else len(assoc)
     if n_cells:
         sources = np.concatenate([sources, assoc.users.xy])
@@ -123,15 +120,13 @@ def d2d_power_matrix(tx_indices, rx_indices, pairs: D2DPairSet, fading: FadingTa
     if power.size and power.min() <= 0.0:
         raise NumericalError("zero distance: a transmitter sits on a receiver")
     tx_mw = np.full((len(sources), 1), params.p_c_mw, dtype=float)
-    tx_mw[:len(tx)] = params.p_d_mw
+    tx_mw[:len(links)] = params.p_d_mw
     if params.alpha == 4:
         np.multiply(power, power, out=power)
         np.divide(tx_mw, power, out=power)
     else:
         np.power(power, -0.5 * params.alpha, out=power)
         np.multiply(power, tx_mw, out=power)
-    if fading is not None:
-        power *= fading.for_links(tx, rx, n_cells)
     return power
 
 
@@ -146,33 +141,28 @@ def sir(signal, interference) -> np.ndarray:
 class LinkPowers:
     """The received powers among ``links`` and the cellular tier.
 
-    Laid out as :func:`d2d_power_matrix` with ``tx = rx = links`` and the
-    cellular tier: position ``m < len(links)`` is link ``links[m]``, the rest
-    are the cells.  The own link's power (the D2D block's diagonal) and each
-    base station's own-user power (the cellular block's diagonal) are moved
-    to ``d2d_signal`` and ``cell_signal`` and zeroed in ``interference``, so
-    every interference is a column sum over the rows on air.  ``mean`` is the
-    pathloss-only power, kept so another fading draw can reuse it.
+    Laid out as :func:`d2d_power_matrix` over ``links`` and the cellular
+    tier: position ``m < len(links)`` is link ``links[m]``, the rest are the
+    cells.  The own link's power (the D2D block's diagonal) and each base
+    station's own-user power (the cellular block's diagonal) are moved to
+    ``d2d_signal`` and ``cell_signal`` and zeroed in ``interference``, so
+    every interference is a column sum over the rows on air.
     """
 
     links: np.ndarray
     interference: np.ndarray
     d2d_signal: np.ndarray
     cell_signal: np.ndarray
-    mean: np.ndarray
 
     @classmethod
     def build(cls, links, pairs: D2DPairSet, assoc: CellAssociation | None,
               fading: FadingTable, params: RadioParams) -> "LinkPowers":
-        """Compute the matrix for sorted link ids ``links``."""
+        """Compute the matrix for sorted link ids ``links`` under ``fading``."""
         links = np.asarray(links, dtype=np.intp)
-        mean = d2d_power_matrix(links, links, pairs, None, params, assoc)
-        n_cells = 0 if assoc is None else len(assoc)
-        return cls._split(links, mean, fading.for_links(links, links, n_cells))
-
-    @classmethod
-    def _split(cls, links: np.ndarray, mean: np.ndarray, gains: np.ndarray) -> "LinkPowers":
-        power = np.multiply(mean, gains, out=gains if gains.flags.writeable else None)
+        power = d2d_power_matrix(links, pairs, params, assoc)
+        gains = fading.for_links(links, power.shape[0] - len(links))
+        # keep a gathered gain buffer's Fortran order: column sums round in buffer order
+        power = np.multiply(power, gains, out=gains if gains.flags.writeable else power)
         own = np.arange(len(links))
         cells = np.arange(len(links), power.shape[0])
         d2d_signal = power[own, own]
@@ -180,7 +170,7 @@ class LinkPowers:
         power[own, own] = 0.0
         power[cells, cells] = 0.0
         return cls(links=links, interference=power, d2d_signal=d2d_signal,
-                   cell_signal=cell_signal, mean=mean)
+                   cell_signal=cell_signal)
 
     def _on_air(self, tx) -> np.ndarray:
         """Row positions of links ``tx`` followed by every uplink user."""
@@ -208,14 +198,6 @@ class LinkPowers:
         rows = slice(None) if tx is None else self._on_air(tx)
         return self.cell_signal, self.interference[rows, len(self.links):].sum(axis=0)
 
-    def refade(self, sel, fading: FadingTable) -> "LinkPowers":
-        """The powers of the links at positions ``sel`` under another fading draw."""
-        links = self.links[sel]
-        cols = np.concatenate([sel, np.arange(len(self.links), self.mean.shape[1])])
-        mean = _take(self.mean, self._on_air(sel), cols)
-        n_cells = self.mean.shape[0] - len(self.links)
-        return self._split(links, mean, fading.for_links(links, links, n_cells))
-
     def nested(self, ranked, counts):
         """Signal and interference while each prefix ``ranked[:c]`` transmits.
 
@@ -240,8 +222,8 @@ class LinkPowers:
 def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation, pairs: D2DPairSet,
                                  fading: FadingTable, params: RadioParams) -> np.ndarray:
     """Received power (mW) at each pair's receiver from each uplink user."""
-    power = d2d_power_matrix([], rx_indices, pairs, fading, params, assoc)
-    return power[:, :len(rx_indices)]
+    k = len(rx_indices)
+    return LinkPowers.build(rx_indices, pairs, assoc, fading, params).interference[k:, :k]
 
 
 def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssociation,

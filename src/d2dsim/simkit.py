@@ -173,17 +173,14 @@ def _data_phase(active: ActiveSet, real: Realization, rp: radio.RadioParams,
     """Received powers for the data phase, and the positions in them of the
     links on air (``None``: all of them).
 
-    The estimation phase's matrix is sliced under coherent fading and
-    re-faded (same pathloss) under refreshed fading; schemes without an
-    estimation phase get a matrix over the active links alone.
+    Under coherent fading the estimation phase's matrix is sliced; schemes
+    without an estimation phase, and refreshed fading, get a matrix over the
+    active links alone under the data-phase draw.
     """
-    measured = active.powers
-    if measured is None:
+    if active.powers is None or refresh_fading:
         return radio.LinkPowers.build(active.active, real.pairs, real.assoc,
                                       real.fading_data, rp), None
-    if refresh_fading:
-        return measured.refade(active.on_air, real.fading_data), None
-    return measured, active.on_air
+    return active.powers, active.on_air
 
 
 def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) -> RealizationMetrics:
@@ -327,21 +324,37 @@ def _config_for(config: ExperimentConfig, axis: str, value: float) -> Experiment
         plan = planner.decoupled_optimize(config.params, constraint)
         if config.scheme.kind == access.PROPOSED_TOP_FRACTION:
             scheme = SchemeSpec(kind=config.scheme.kind, delta=plan.delta_star, p_s=plan.p_s_star)
-        elif config.scheme.kind == access.PROPOSED_THRESHOLD:
-            scheme = SchemeSpec(kind=config.scheme.kind, delta=plan.delta_star, g=plan.g_star)
         else:
-            raise ParameterError("mu axis needs a proposed_* scheme")
+            scheme = SchemeSpec(kind=config.scheme.kind, delta=plan.delta_star, g=plan.g_star)
         return dataclasses.replace(config, scheme=scheme)
     raise ParameterError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
-def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, MetricsReport]]:
-    """One report per axis value, all values checked before any Monte Carlo;
-    scheme axes share each realization, ``lambda_d`` resamples per value."""
-    axis = axis.lower()
-    values = list(values)
+def check_sweep(config: ExperimentConfig, axis: str, values) -> None:
+    """Raise ``ParameterError`` unless every value of the sweep can run.
+
+    Runs no plan and samples no realization.
+    """
     if not values:
         raise ParameterError("sweep needs at least one value")
+    if axis != "mu":
+        for value in values:
+            _config_for(config, axis, value)
+        return
+    from . import planner
+    if config.scheme.kind not in (access.PROPOSED_THRESHOLD, access.PROPOSED_TOP_FRACTION):
+        raise ParameterError(f"the mu axis needs a proposed_* scheme.kind, "
+                             f"got {config.scheme.kind!r}")
+    for value in values:
+        planner.ConstraintSpec(mu=value, gamma=config.params.gamma)
+
+
+def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, MetricsReport]]:
+    """One report per axis value, all values checked before any plan or Monte
+    Carlo; scheme axes share each realization, ``lambda_d`` resamples per value."""
+    axis = axis.lower()
+    values = list(values)
+    check_sweep(config, axis, values)
     configs = [_config_for(config, axis, v) for v in values]
     if axis == "lambda_d":
         reports = [run_experiment(c) for c in configs]

@@ -198,6 +198,9 @@ MALFORMED_CASES = [
     ("", ("--out", "{tmp}/run.cfg"), "--out"),
     ("", ("--tuning-realizations", "0"), "--tuning-realizations"),
     ("ccdf_points_db = 10,0\n", (), "ccdf_points_db must be sorted"),
+    ("", ("--axis", "mu", "--values", "0.3"), "scheme.kind"),
+    ("scheme.kind = proposed_threshold\nscheme.delta = 229\nscheme.g_db = -0.59\n",
+     ("--axis", "mu", "--values", "0.3,2"), "mu must be in [0, 1]"),
 ]
 
 

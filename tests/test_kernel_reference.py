@@ -4,16 +4,17 @@ The Monte Carlo reference recomputes every SIR of a realization one link at a
 time, from coordinates (``spatial.paired_distance``) and the raw fading gains
 read by position (links first, then cells), applies each access rule to those
 SIRs, and must reproduce ``simkit.run_realization``: counts exactly, Shannon
-sums to 1e-9 relative.  The coverage reference nests the keep-out average
-inside the outer quadrature without a memo, and ``analytic.cellular_coverage``
-must reproduce it exactly.
+sums to 1e-9 relative.  ``radio.cellular_to_d2d_power_matrix`` must match the
+same per-link powers to 1e-12 relative.  The coverage reference nests the
+keep-out average inside the outer quadrature without a memo, and
+``analytic.cellular_coverage`` must reproduce it exactly.
 """
 import math
 
 import numpy as np
 import pytest
 
-from d2dsim import analytic, simkit, spatial
+from d2dsim import analytic, radio, simkit, spatial
 from d2dsim.access import SchemeSpec
 from d2dsim.simkit import ExperimentConfig
 from d2dsim.spatial import Window
@@ -141,6 +142,27 @@ def test_run_realization_matches_per_link_reference(topology, alpha, refresh):
                 for name in ("d2d_shannon_sum", "cellular_shannon_sum"):
                     assert getattr(got, name) == pytest.approx(want[name], rel=1e-9), \
                         f"{name}: {where}"
+
+
+@pytest.mark.parametrize("alpha", [4.0, 3.5])
+@pytest.mark.parametrize("topology", ["torus", "bounded"])
+def test_cellular_to_d2d_power_matches_per_link_reference(topology, alpha):
+    params = make_params(lambda_d=4e-5, lambda_m=4e-6, alpha=alpha)
+    config = ExperimentConfig(params=params, scheme=SCHEMES[0],
+                              window=Window(1000.0, 1000.0, topology=topology), seed=SEEDS[0])
+    real = simkit.sample_realization(config, 0)
+    pairs, assoc, window = real.pairs, real.assoc, real.pairs.window
+    n, gains = len(pairs), real.fading_est.gains
+    assert n > 2 and len(assoc) > 0
+    for links in (np.arange(0, n, 2), np.arange(n)):   # gathered gains, then the whole table
+        got = radio.cellular_to_d2d_power_matrix(links, assoc, pairs, real.fading_est,
+                                                 config.radio_params())
+        assert got.shape == (len(assoc), len(links))
+        for m, link in enumerate(links):
+            want = _received(params.p_c_mw, assoc.users.xy, pairs.receivers.xy[link],
+                             [gains[n + u, link] for u in range(len(assoc))],
+                             window, params.alpha)
+            np.testing.assert_allclose(got[:, m], want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("topology", ["torus", "bounded"])

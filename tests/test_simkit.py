@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2dsim import analytic, cli, simkit
+from d2dsim import analytic, cli, planner, simkit
 from d2dsim.access import SchemeSpec
 from d2dsim.errors import ParameterError
 from d2dsim.simkit import ExperimentConfig
@@ -251,13 +251,19 @@ class TestSweep:
     @pytest.mark.parametrize("axis, values, scheme", [
         ("p_s", [0.5, 0.6, 1.5], SchemeSpec(kind="proposed_top_fraction", delta=0.0, p_s=0.5)),
         ("lambda_d", [6e-5, -1.0], SchemeSpec(kind="no_ac")),
+        ("mu", [0.3], SchemeSpec(kind="no_ac")),
+        ("mu", [0.3, 2.0], SchemeSpec(kind="proposed_threshold", delta=0.0, g=1.0)),
     ])
     def test_every_value_is_checked_before_any_realization(self, monkeypatch, axis, values,
                                                            scheme):
         def sampled(*args):
             raise AssertionError("a realization was sampled before the last value was checked")
 
+        def planned(*args):
+            raise AssertionError("a plan ran before the last value was checked")
+
         monkeypatch.setattr(simkit, "sample_realization", sampled)
+        monkeypatch.setattr(planner, "decoupled_optimize", planned)
         with pytest.raises(ParameterError):
             simkit.sweep(tiny_config(scheme=scheme), axis, values)
 
