@@ -44,10 +44,9 @@ class SystemParams:
             raise ParameterError("d must be positive")
         if not self.alpha > 2:
             raise ParameterError("alpha must exceed 2")
-        if not (self.p_c_mw > 0 and self.p_d_mw > 0):
-            raise ParameterError("powers must be positive")
-        if not (self.beta > 0 and self.gamma > 0):
-            raise ParameterError("SIR targets must be positive")
+        for name in ("p_c_mw", "p_d_mw", "beta", "gamma"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -267,13 +266,8 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     return _quad(outer, 0.0, x_max)
 
 
-@functools.lru_cache(maxsize=64)
 def max_cellular_coverage(params: SystemParams, dmin_law: str = NEAREST_LAW) -> float:
-    """Cellular coverage with the D2D tier silent (single-tier ceiling).
-
-    Memoized on its frozen arguments: every guard-radius solve and plan
-    needs the same ceiling, and each evaluation is a nested quadrature.
-    """
+    """Cellular coverage with the D2D tier silent (single-tier ceiling)."""
     return cellular_coverage(params.gamma, 0.0, 0.0, params, dmin_law=dmin_law)
 
 

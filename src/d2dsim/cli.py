@@ -110,34 +110,13 @@ def _get_bool(raw: dict, key: str) -> bool:
     raise ConfigError(f"config field {key!r} is not a boolean: {raw[key]!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration for one CLI invocation."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ExperimentConfig):
+    """Fully resolved configuration for one CLI invocation: the experiment
+    plus the coverage-loss budget and the raw config fields."""
 
-    params: SystemParams
-    scheme: SchemeSpec
-    window: Window
-    n_realizations: int
-    seed: int
-    n_jobs: int
     mu: float
-    rate_ceiling: float
-    refresh_fading: bool
-    ccdf_points_db: tuple
     raw: dict
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            params=self.params,
-            scheme=self.scheme,
-            window=self.window,
-            n_realizations=self.n_realizations,
-            seed=self.seed,
-            n_jobs=self.n_jobs,
-            refresh_fading_between_phases=self.refresh_fading,
-            rate_ceiling=self.rate_ceiling,
-            ccdf_points_db=self.ccdf_points_db,
-        )
 
     def constraint(self) -> planner.ConstraintSpec:
         return planner.ConstraintSpec(mu=self.mu, gamma=self.params.gamma)
@@ -196,20 +175,17 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"invalid window config: {exc}") from None
     ccdf = tuple(_parse_float_list(merged["ccdf_points_db"], "config field 'ccdf_points_db'"))
-    seed = _get_int(merged, "seed")
-    if seed < 0:
-        raise ConfigError(f"config field 'seed' must be nonnegative, got {seed}")
     return RunConfig(
         params=params,
         scheme=scheme,
         window=window,
         n_realizations=_get_int(merged, "n_realizations"),
-        seed=seed,
+        seed=_get_int(merged, "seed"),
         n_jobs=_get_int(merged, "n_jobs"),
-        mu=mu,
+        refresh_fading_between_phases=_get_bool(merged, "refresh_fading"),
         rate_ceiling=_get_float(merged, "rate_ceiling"),
-        refresh_fading=_get_bool(merged, "refresh_fading"),
         ccdf_points_db=ccdf,
+        mu=mu,
         raw=merged,
     )
 
@@ -301,8 +277,7 @@ def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
         schemes.append(SchemeSpec(kind=access.CHANNEL_AWARE, delta=delta, p_s=p_ac))
     if not schemes:
         raise NumericalError("no channel-aware operating point meets the coverage floor")
-    config = dataclasses.replace(rc.experiment(), n_realizations=n_tuning)
-    reports = simkit.run_schemes(config, schemes)
+    reports = simkit.run_schemes(dataclasses.replace(rc, n_realizations=n_tuning), schemes)
     return max(zip(schemes, reports), key=lambda pair: pair[1].ase.mean)[0]
 
 
@@ -321,7 +296,7 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
     if "no_ac" in subset:
         schemes["no_ac"] = SchemeSpec(kind=access.NO_AC)
     rows = {}
-    reports = simkit.run_schemes(rc.experiment(), schemes.values())
+    reports = simkit.run_schemes(rc, schemes.values())
     for (name, scheme), report in zip(schemes.items(), reports):
         rows[name] = {
             "scheme": scheme.to_dict(),
@@ -375,13 +350,11 @@ def main(argv=None) -> int:
     started = time.monotonic(), analytic._keepout_average.cache_info()
     try:
         rc = resolve_config(parse_config_file(Path(args.config)), seed_override=args.seed)
-        if args.subcommand in ("simulate", "sweep", "compare"):
-            rc.experiment()   # rejects bad Monte Carlo fields before any work
         if args.subcommand == "sweep":
             values = _parse_float_list(args.values, "--values")
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
-            simkit.check_sweep(rc.experiment(), args.axis, values)
+            simkit.check_sweep(rc, args.axis, values)
         if args.subcommand == "compare" and args.tuning_realizations < 1:
             raise ConfigError(f"--tuning-realizations must be at least 1, "
                               f"got {args.tuning_realizations}")
@@ -396,7 +369,7 @@ def main(argv=None) -> int:
                 print(f"{key:28s} {value:.6g}")
             _emit(out_dir, "analyze", args.config, rc, {"analyze.json": table}, started)
         elif args.subcommand == "simulate":
-            report = simkit.run_experiment(rc.experiment())
+            report = simkit.run_experiment(rc)
             print(_report_csv(report), end="")
             files = {"report.json": dataclasses.asdict(report), "report.csv": _report_csv(report)}
             _emit(out_dir, "simulate", args.config, rc, files, started)
@@ -408,7 +381,7 @@ def main(argv=None) -> int:
                 print(f"{key:22s} {value}")
             _emit(out_dir, "optimize", args.config, rc, {"plan.json": payload}, started)
         elif args.subcommand == "sweep":
-            results = simkit.sweep(rc.experiment(), args.axis, values)
+            results = simkit.sweep(rc, args.axis, values)
             csv_text = simkit.sweep_to_csv(args.axis, results)
             print(csv_text, end="")
             _emit(out_dir, "sweep", args.config, rc, {"sweep.csv": csv_text}, started)

@@ -37,8 +37,10 @@ class RadioParams:
     def __post_init__(self):
         if not 2 < self.alpha < math.inf:
             raise ParameterError(f"pathloss exponent must be finite and exceed 2, got {self.alpha}")
-        if not (0 < self.p_c_mw < math.inf and 0 < self.p_d_mw < math.inf):
-            raise ParameterError("transmit powers must be positive and finite")
+        for name in ("p_c_mw", "p_d_mw"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

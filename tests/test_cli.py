@@ -181,9 +181,12 @@ class TestCompareCommand:
         assert len(csv_lines) == 3
 
 
+SUBCOMMANDS = ("analyze", "simulate", "optimize", "sweep", "compare")
+
 MALFORMED_CASES = [
     # (extra config lines, extra CLI arguments, text the error must name);
-    # bytes extend the config file as raw bytes, "{tmp}" is the test's directory
+    # bytes extend the config file as raw bytes, "{tmp}" is the test's directory;
+    # CLI arguments may start with the subcommand to run
     ("scheme.kind = guard_zone_only\nscheme.delta = nan\n", (), "scheme.delta"),
     ("rate_ceiling = nan\n", (), "rate_ceiling"),
     ("lambda_d = nan\n", (), "lambda_d"),
@@ -201,11 +204,23 @@ MALFORMED_CASES = [
     ("", ("--axis", "mu", "--values", "0.3"), "scheme.kind"),
     ("scheme.kind = proposed_threshold\nscheme.delta = 229\nscheme.g_db = -0.59\n",
      ("--axis", "mu", "--values", "0.3,2"), "mu must be in [0, 1]"),
+    ("d = 2000\n", ("compare",), "d = 2000.0 m exceeds half the window side, 1500.0 m"),
+    ("p_c_mw = -1\n", (), "p_c_mw must be positive"),
+    ("p_d_mw = 0\n", (), "p_d_mw must be positive"),
+    ("n_jobs = 0\n", ("analyze",), "n_jobs"),
+    ("n_realizations = 0\n", ("analyze",), "n_realizations"),
+    ("n_jobs = 0\n", ("optimize",), "n_jobs"),
+    ("n_realizations = 0\n", ("optimize",), "n_realizations"),
 ]
 
 
+def _case_id(case) -> str:
+    _, argv, field = case
+    return f"{argv[0]} {field}" if argv and argv[0] in SUBCOMMANDS else field
+
+
 @pytest.mark.parametrize("extra, argv, field", MALFORMED_CASES,
-                         ids=[case[2] for case in MALFORMED_CASES])
+                         ids=[_case_id(case) for case in MALFORMED_CASES])
 def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatch,
                                                     extra, argv, field):
     body = TABLE_CONFIG + "n_realizations = 1\n"
@@ -219,13 +234,16 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     def computation_started(*args, **kwargs):
         raise AssertionError("malformed input must be rejected before any computation")
 
-    for module, name in ((cli.simkit, "run_experiment"), (cli.simkit, "run_schemes"),
+    for module, name in ((cli, "cmd_analyze"),
+                         (cli.simkit, "run_experiment"), (cli.simkit, "run_schemes"),
                          (cli.simkit, "sweep"),
                          (cli.planner, "decoupled_optimize"),
                          (cli.planner, "solve_guard_radius")):
         monkeypatch.setattr(module, name, computation_started)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    if "--axis" in argv:
+    if argv and argv[0] in SUBCOMMANDS:
+        subcommand, *argv = argv
+    elif "--axis" in argv:
         subcommand = "sweep"
     elif "--tuning-realizations" in argv:
         subcommand = "compare"
@@ -234,3 +252,4 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"), *argv])
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -168,26 +168,11 @@ class TestSolveGuardRadius:
 
     def test_probes_reuse_the_keepout_average(self, params6):
         # every probe revisits the same outer nodes; only the first computes them
-        analytic.max_cellular_coverage.cache_clear()
         analytic._keepout_average.cache_clear()
         planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.3, gamma=1.0), params6)
         info = analytic._keepout_average.cache_info()
         assert info.misses > 0
         assert info.hits >= 10 * info.misses
-
-
-class TestSingleTierCeilingCache:
-    def test_cached_value_equals_uncached(self, params6):
-        uncached = analytic.cellular_coverage(params6.gamma, 0.0, 0.0, params6)
-        assert analytic.max_cellular_coverage(params6) == uncached
-
-    def test_repeated_plan_evaluates_the_ceiling_once(self, params6):
-        analytic.max_cellular_coverage.cache_clear()
-        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
-        first = planner.decoupled_optimize(params6, constraint)
-        second = planner.decoupled_optimize(params6, constraint)
-        assert first == second
-        assert analytic.max_cellular_coverage.cache_info().misses == 1
 
 
 class TestDecoupledOptimize:

@@ -175,7 +175,7 @@ class TestRunSchemes:
         elif caller == "compare_schemes":
             cli.compare_schemes(rc, subset=("proposed", "guard_zone_only", "no_ac"))
         else:
-            simkit.sweep(rc.experiment(), "delta", [0.0, 100.0, 200.0])
+            simkit.sweep(rc, "delta", [0.0, 100.0, 200.0])
         assert sampled == [0, 1, 2]
 
 
