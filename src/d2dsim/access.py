@@ -80,14 +80,6 @@ class SchemeSpec:
                 out[name] = getattr(self, name)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchemeSpec":
-        allowed = {"kind", "delta", "g", "p_s", "g_min"}
-        bad = set(data) - allowed
-        if bad:
-            raise ParameterError(f"unknown scheme fields: {sorted(bad)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True, eq=False)
 class ActiveSet:

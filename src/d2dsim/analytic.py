@@ -86,15 +86,6 @@ def _quad(fn, a, b):
     return result[0]
 
 
-def laplace_ppp(s: float, lam: float, alpha: float) -> float:
-    """Laplace transform of Rayleigh-faded interference from a full-plane PPP."""
-    if s < 0 or lam < 0:
-        raise ParameterError("s and lambda must be nonnegative")
-    if s == 0 or lam == 0:
-        return 1.0
-    return math.exp(-math.pi * lam * s ** (2.0 / alpha) / sinc_norm(2.0 / alpha))
-
-
 def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: float) -> float:
     # integrand s*v/(v^alpha + s) is the stable form of s*v^(1-alpha)/(1 + s*v^(-alpha))
     def integrand(v):
@@ -289,20 +280,14 @@ def threshold_from_access_prob(p_s: float, params: SystemParams) -> float:
     return (-math.log(p_s) / denom) ** (params.alpha / 2.0)
 
 
-REGIMES = ("low_ps", "high_ps", "piecewise")
-
-
-def d2d_ase_two_stage(delta: float, p_s: float, params: SystemParams,
-                      regime: str = "piecewise") -> float:
+def d2d_ase_two_stage(delta: float, p_s: float, params: SystemParams) -> float:
     """D2D area spectral efficiency after guard zones plus SIR-aware admission.
 
     The conditional success probability of an admitted link is approximated by
     1 in the sparse-admission regime and by the unconditional-success ratio in
-    the dense-admission regime; ``piecewise`` takes the smaller of the two,
-    which makes the two branches cross at the optimizer's fixed point.
+    the dense-admission regime; the smaller of the two is taken, which makes
+    the two branches cross at the optimizer's fixed point.
     """
-    if regime not in REGIMES:
-        raise ParameterError(f"regime must be one of {REGIMES}")
     if not 0 <= p_s <= 1:
         raise ParameterError("p_s must be in [0, 1]")
     if p_s == 0:
@@ -310,10 +295,6 @@ def d2d_ase_two_stage(delta: float, p_s: float, params: SystemParams,
     c = DerivedConstants.from_params(params)
     lam_h = params.lambda_d * hole_survival(delta, params.lambda_m)
     base = p_s * lam_h * math.log2(1.0 + params.beta)
-    if regime == "low_ps":
-        cond = 1.0
-    else:
-        ratio = math.exp(-c.xi * params.beta ** (2.0 / params.alpha)
-                         * (p_s * params.lambda_d + c.kappa * params.lambda_m)) / p_s
-        cond = ratio if regime == "high_ps" else min(1.0, ratio)
-    return base * cond
+    ratio = math.exp(-c.xi * params.beta ** (2.0 / params.alpha)
+                     * (p_s * params.lambda_d + c.kappa * params.lambda_m)) / p_s
+    return base * min(1.0, ratio)

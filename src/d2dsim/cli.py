@@ -118,6 +118,11 @@ class RunConfig(ExperimentConfig):
     mu: float
     raw: dict
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.mu <= 1:
+            raise ParameterError(f"mu must be in [0, 1], got {self.mu}")
+
     def constraint(self) -> planner.ConstraintSpec:
         return planner.ConstraintSpec(mu=self.mu, gamma=self.params.gamma)
 
@@ -162,12 +167,9 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     if "scheme.g_min" in merged:
         scheme_fields["g_min"] = _get_float(merged, "scheme.g_min")
     try:
-        scheme = SchemeSpec.from_dict(scheme_fields)
+        scheme = SchemeSpec(**scheme_fields)
     except ParameterError as exc:
         raise ConfigError(f"invalid scheme config: {exc}") from None
-    mu = _get_float(merged, "mu")
-    if not 0 <= mu <= 1:
-        raise ConfigError("config field 'mu' must be in [0, 1]")
     window_m = _get_float(merged, "window_m")
     topology = merged["topology"]
     try:
@@ -185,7 +187,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         refresh_fading_between_phases=_get_bool(merged, "refresh_fading"),
         rate_ceiling=_get_float(merged, "rate_ceiling"),
         ccdf_points_db=ccdf,
-        mu=mu,
+        mu=_get_float(merged, "mu"),
         raw=merged,
     )
 
@@ -260,6 +262,13 @@ def cmd_analyze(rc: RunConfig) -> dict:
     return table
 
 
+def planned_scheme(kind: str, plan: planner.PlanResult) -> SchemeSpec:
+    """The ``proposed_*`` scheme of ``kind`` at ``plan``'s operating point."""
+    if kind == access.PROPOSED_TOP_FRACTION:
+        return SchemeSpec(kind=kind, delta=plan.delta_star, p_s=plan.p_s_star)
+    return SchemeSpec(kind=kind, delta=plan.delta_star, g=plan.g_star)
+
+
 COMPARE_SCHEMES = ("proposed", "channel_aware", "guard_zone_only", "no_ac")
 CHANNEL_AWARE_P_AC = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -286,8 +295,7 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
     plan = planner.decoupled_optimize(rc.params, rc.constraint())
     schemes: dict[str, SchemeSpec] = {}
     if "proposed" in subset:
-        schemes["proposed"] = SchemeSpec(kind=access.PROPOSED_THRESHOLD,
-                                         delta=plan.delta_star, g=plan.g_star)
+        schemes["proposed"] = planned_scheme(access.PROPOSED_THRESHOLD, plan)
     if "channel_aware" in subset:
         schemes["channel_aware"] = tune_channel_aware(rc, n_tuning=n_tuning)
     if "guard_zone_only" in subset:
@@ -307,6 +315,18 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
             "paired_seeds": True,   # every scheme reuses the same realizations
         }
     return {"plan": plan.to_dict(), "rows": rows, "seed": rc.seed}
+
+
+SWEEP_AXES = simkit.SWEEP_AXES + ("mu",)
+PLANNED_KINDS = (access.PROPOSED_THRESHOLD, access.PROPOSED_TOP_FRACTION)
+
+
+def sweep_mu(configs: list[RunConfig]) -> list[tuple[float, simkit.MetricsReport]]:
+    """One report per config, at the plan for that config's own ``mu``; the
+    configs differ only in ``mu``, so every plan runs on the same realizations."""
+    schemes = [planned_scheme(c.scheme.kind, planner.decoupled_optimize(c.params, c.constraint()))
+               for c in configs]
+    return list(zip([c.mu for c in configs], simkit.run_schemes(configs[0], schemes)))
 
 
 def _compare_csv(result: dict) -> str:
@@ -335,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default: ./d2dsim-out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "sweep":
-            p.add_argument("--axis", required=True, choices=simkit.SWEEP_AXES)
+            p.add_argument("--axis", required=True, choices=SWEEP_AXES)
             p.add_argument("--values", required=True,
                            help="comma-separated list of axis values")
         if name == "compare":
@@ -354,7 +374,13 @@ def main(argv=None) -> int:
             values = _parse_float_list(args.values, "--values")
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
-            simkit.check_sweep(rc, args.axis, values)
+            if args.axis == "mu":
+                if rc.scheme.kind not in PLANNED_KINDS:
+                    raise ConfigError(f"the mu axis needs a proposed_* scheme.kind, "
+                                      f"got {rc.scheme.kind!r}")
+                swept = [dataclasses.replace(rc, mu=v) for v in values]
+            else:
+                simkit.check_sweep(rc, args.axis, values)
         if args.subcommand == "compare" and args.tuning_realizations < 1:
             raise ConfigError(f"--tuning-realizations must be at least 1, "
                               f"got {args.tuning_realizations}")
@@ -381,7 +407,10 @@ def main(argv=None) -> int:
                 print(f"{key:22s} {value}")
             _emit(out_dir, "optimize", args.config, rc, {"plan.json": payload}, started)
         elif args.subcommand == "sweep":
-            results = simkit.sweep(rc, args.axis, values)
+            if args.axis == "mu":
+                results = sweep_mu(swept)
+            else:
+                results = simkit.sweep(rc, args.axis, values)
             csv_text = simkit.sweep_to_csv(args.axis, results)
             print(csv_text, end="")
             _emit(out_dir, "sweep", args.config, rc, {"sweep.csv": csv_text}, started)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from scipy.special import lambertw
 
-from . import analytic
+from . import analytic, simkit
 from .analytic import DerivedConstants, SystemParams
 from .errors import InfeasibleError, ParameterError
 
@@ -34,19 +34,6 @@ def lambert_w0(x: float) -> float:
             return -1.0
         raise ParameterError(f"lambert_w0 domain is [-1/e, inf), got {x}")
     return float(lambertw(x).real)
-
-
-def solve_exp_linear(p: float, a: float, b: float, c: float, d: float) -> float:
-    """Solve p**(a*x + b) = c*x + d for x via the Lambert W function."""
-    if p <= 0:
-        raise ParameterError("base p must be positive")
-    if a == 0 or c == 0:
-        raise ParameterError("a and c must be nonzero")
-    ln_p = math.log(p)
-    if ln_p == 0:
-        raise ParameterError("base p = 1 makes the equation linear")
-    arg = -(a * ln_p / c) * p ** (b - a * d / c)
-    return -lambert_w0(arg) / (a * ln_p) - d / c
 
 
 @dataclass(frozen=True)
@@ -167,8 +154,6 @@ def exhaustive_search(params: SystemParams, constraint: ConstraintSpec,
     with the highest measured fixed-rate ASE wins.  Serves as the oracle the
     decoupled plan is judged against.
     """
-    from . import simkit   # imported here to avoid an import cycle
-
     deltas = list(deltas)
     ps_values = list(ps_values)
     if not deltas or not ps_values:

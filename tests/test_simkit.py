@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from d2dsim import analytic, cli, planner, simkit
+from d2dsim import analytic, cli, simkit
 from d2dsim.access import SchemeSpec
 from d2dsim.errors import ParameterError
 from d2dsim.simkit import ExperimentConfig
@@ -164,7 +164,8 @@ class TestRunSchemes:
         assert len(reports) == len(ALL_SCHEMES)
         assert sampled == list(range(6))
 
-    @pytest.mark.parametrize("caller", ["tune_channel_aware", "compare_schemes", "sweep"])
+    @pytest.mark.parametrize("caller", ["tune_channel_aware", "compare_schemes", "sweep",
+                                        "sweep_mu"])
     def test_callers_sample_each_realization_once(self, monkeypatch, caller):
         rc = cli.resolve_config({"lambda_m": "4e-6", "lambda_d": "4e-5", "window_m": "1000",
                                  "n_realizations": "3", "seed": "7",
@@ -174,8 +175,12 @@ class TestRunSchemes:
             cli.tune_channel_aware(rc, n_tuning=3)
         elif caller == "compare_schemes":
             cli.compare_schemes(rc, subset=("proposed", "guard_zone_only", "no_ac"))
-        else:
+        elif caller == "sweep":
             simkit.sweep(rc, "delta", [0.0, 100.0, 200.0])
+        else:
+            proposed = dataclasses.replace(rc, scheme=SchemeSpec(kind="proposed_threshold",
+                                                                 delta=0.0, g=1.0))
+            cli.sweep_mu([dataclasses.replace(proposed, mu=mu) for mu in (0.3, 0.5, 1.0)])
         assert sampled == [0, 1, 2]
 
 
@@ -239,37 +244,24 @@ class TestSweep:
         for (_, sparse), (_, dense) in zip(results, results[1:]):
             assert dense.cellular_coverage.ci_low <= sparse.cellular_coverage.ci_high
 
-    def test_mu_axis_replans_with_proposed_scheme(self):
-        cfg = ExperimentConfig(params=make_params(lambda_d=6e-5),
-                               scheme=SchemeSpec(kind="proposed_top_fraction",
-                                                 delta=0.0, p_s=0.5),
-                               window=Window(1500.0, 1500.0),
-                               n_realizations=2, seed=9)
-        [(mu, _report)] = simkit.sweep(cfg, "mu", [1.0])
-        assert mu == 1.0
-
     @pytest.mark.parametrize("axis, values, scheme", [
         ("p_s", [0.5, 0.6, 1.5], SchemeSpec(kind="proposed_top_fraction", delta=0.0, p_s=0.5)),
         ("lambda_d", [6e-5, -1.0], SchemeSpec(kind="no_ac")),
-        ("mu", [0.3], SchemeSpec(kind="no_ac")),
-        ("mu", [0.3, 2.0], SchemeSpec(kind="proposed_threshold", delta=0.0, g=1.0)),
     ])
     def test_every_value_is_checked_before_any_realization(self, monkeypatch, axis, values,
                                                            scheme):
         def sampled(*args):
             raise AssertionError("a realization was sampled before the last value was checked")
 
-        def planned(*args):
-            raise AssertionError("a plan ran before the last value was checked")
-
         monkeypatch.setattr(simkit, "sample_realization", sampled)
-        monkeypatch.setattr(planner, "decoupled_optimize", planned)
         with pytest.raises(ParameterError):
             simkit.sweep(tiny_config(scheme=scheme), axis, values)
 
-    def test_mu_axis_rejects_baseline_schemes(self):
-        with pytest.raises(ParameterError):
-            simkit.sweep(tiny_config(), "mu", [0.3])
+    def test_mu_is_not_a_sweep_axis(self):
+        # simkit knows nothing of plans; the CLI sweeps mu by re-planning
+        cfg = tiny_config(scheme=SchemeSpec(kind="proposed_threshold", delta=0.0, g=1.0))
+        with pytest.raises(ParameterError, match="unknown sweep axis 'mu'"):
+            simkit.sweep(cfg, "mu", [0.3])
 
 
 class TestTopFractionGrid:

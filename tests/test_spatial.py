@@ -13,6 +13,28 @@ def seeded(i=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=777, spawn_key=(i,)))
 
 
+def place_uplink_users_loop(bs_points, rng):
+    """Per-point reference for ``place_uplink_users``: the first hit per cell
+    in batch order, from the same batches and draws."""
+    n, window = len(bs_points), bs_points.window
+    users = np.full((n, 2), np.nan)
+    missing = n
+    while missing:
+        xy = rng.uniform((0.0, 0.0), (window.width, window.height), size=(max(4 * n, 16), 2))
+        owner = np.argmin(spatial.pairwise_distance(xy, bs_points.xy, window), axis=1)
+        for p, cell in zip(xy, owner):
+            if np.isnan(users[cell, 0]):
+                users[cell] = p
+                missing -= 1
+    return users
+
+
+def nearest_bs_indices(assoc: spatial.CellAssociation) -> np.ndarray:
+    """Index of the closest BS to each user (association check)."""
+    return np.argmin(spatial.pairwise_distance(assoc.users.xy, assoc.bs.xy, assoc.bs.window),
+                     axis=1)
+
+
 class TestWindow:
     def test_area(self):
         assert Window(3000.0, 2000.0).area == 6e6
@@ -158,7 +180,19 @@ class TestPlaceUplinkUsers:
             if len(bs) == 0:
                 continue
             assoc = spatial.place_uplink_users(bs, rng)
-            assert np.array_equal(assoc.nearest_bs_indices(), np.arange(len(bs)))
+            assert np.array_equal(nearest_bs_indices(assoc), np.arange(len(bs)))
+
+    @pytest.mark.parametrize("topology", ["torus", "bounded"])
+    def test_matches_per_point_reference(self, topology):
+        window = Window(3000.0, 3000.0, topology=topology)
+        for i in range(20):
+            bs = spatial.sample_ppp(2e-6, window, seeded(500 + i))
+            if len(bs) == 0:
+                continue
+            rng, ref_rng = seeded(600 + i), seeded(600 + i)
+            users = spatial.place_uplink_users(bs, rng).users.xy
+            assert np.array_equal(users, place_uplink_users_loop(bs, ref_rng))
+            assert rng.random() == ref_rng.random()   # the same number of draws
 
     def test_probe_point_distance_is_rayleigh(self, window):
         # a uniform probe point's distance to the nearest BS has mean 1/(2 sqrt(lambda));
