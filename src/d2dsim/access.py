@@ -192,14 +192,15 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
     return ActiveSet(candidates=ids, on_air=np.flatnonzero(own_gain > g_min))
 
 
-def apply_scheme(spec: SchemeSpec, realization, fading: radio.FadingTable,
-                 params: radio.RadioParams) -> ActiveSet:
+def apply_scheme(spec: SchemeSpec, realization, params: radio.RadioParams) -> ActiveSet:
     """Dispatch a scheme spec against one realization.
 
     ``realization`` is any object with ``pairs`` (D2DPairSet), ``bs``
-    (PointSet) and ``assoc`` (CellAssociation) attributes.
+    (PointSet), ``assoc`` (CellAssociation) and ``fading_est``
+    (FadingTable, the estimation phase's gains) attributes.
     """
     pairs, bs, assoc = realization.pairs, realization.bs, realization.assoc
+    fading = realization.fading_est
     if spec.kind == NO_AC:
         everyone = np.arange(len(pairs))
         return ActiveSet(candidates=everyone, on_air=everyone)

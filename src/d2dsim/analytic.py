@@ -79,8 +79,12 @@ def sinc_norm(x: float) -> float:
 
 
 def _quad(fn, a, b):
-    result = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
-                            limit=_QUAD_LIMIT, full_output=1)
+    try:
+        result = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                                limit=_QUAD_LIMIT, full_output=1)
+    except OverflowError:
+        raise NumericalError(f"quadrature overflowed on [{a}, {b}]: an integrand value "
+                             "exceeds the float range") from None
     if len(result) > 3:
         raise NumericalError(f"quadrature failed on [{a}, {b}]: {result[3]}")
     return result[0]
@@ -219,8 +223,7 @@ def _keepout_average(s: float, lam_m: float, alpha: float, dmin_law: str) -> flo
 
 
 def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
-                      params: SystemParams, dmin_law: str = NEAREST_LAW,
-                      warn: bool = True) -> float:
+                      params: SystemParams, dmin_law: str = NEAREST_LAW) -> float:
     """Probability a cellular uplink beats its SIR target.
 
     Interference comes from the other uplink users (a PPP kept outside a
@@ -233,8 +236,8 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     ``dmin_law`` selects the keep-out radius distribution: the default
     ``nearest`` (Rayleigh) law reproduces the published single-tier ceiling
     of 0.5552 at the reference parameters; ``cell_disk`` uses the
-    equal-area-disk law of ``pdf_dmin`` instead.  ``warn=False`` skips the
-    loose-keep-out warning, for callers that warn once for a final radius.
+    equal-area-disk law of ``pdf_dmin`` instead.  It never warns: the code
+    that picks a radius calls :func:`warn_if_loose` for it.
     """
     if gamma < 0 or active_d2d_density < 0 or delta < 0:
         raise ParameterError("gamma, density and delta must be nonnegative")
@@ -243,8 +246,6 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     if gamma == 0:
         return 1.0
     lam_m = params.lambda_m
-    if warn:
-        warn_if_loose(delta, lam_m)
     power_ratio = params.p_d_mw / params.p_c_mw
     x_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
 

@@ -94,6 +94,14 @@ def _get_float(raw: dict, key: str) -> float:
     return _parse_float(raw[key], f"config field {key!r}")
 
 
+def _get_db(raw: dict, key: str) -> float:
+    """The dB field ``key`` in linear units."""
+    try:
+        return db_to_linear(_get_float(raw, key))
+    except OverflowError:
+        raise ConfigError(f"config field {key!r} is too large: {raw[key]!r} dB") from None
+
+
 def _get_int(raw: dict, key: str) -> int:
     try:
         return int(raw[key])
@@ -152,8 +160,8 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
             alpha=_get_float(merged, "alpha"),
             p_c_mw=_get_float(merged, "p_c_mw"),
             p_d_mw=_get_float(merged, "p_d_mw"),
-            beta=db_to_linear(_get_float(merged, "beta_db")),
-            gamma=db_to_linear(_get_float(merged, "gamma_db")),
+            beta=_get_db(merged, "beta_db"),
+            gamma=_get_db(merged, "gamma_db"),
         )
     except ParameterError as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from None
@@ -161,7 +169,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     if "scheme.delta" in merged:
         scheme_fields["delta"] = _get_float(merged, "scheme.delta")
     if "scheme.g_db" in merged:
-        scheme_fields["g"] = db_to_linear(_get_float(merged, "scheme.g_db"))
+        scheme_fields["g"] = _get_db(merged, "scheme.g_db")
     if "scheme.p_s" in merged:
         scheme_fields["p_s"] = _get_float(merged, "scheme.p_s")
     if "scheme.g_min" in merged:
@@ -175,7 +183,7 @@ def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     try:
         window = Window(window_m, window_m, topology=topology)
     except ParameterError as exc:
-        raise ConfigError(f"invalid window config: {exc}") from None
+        raise ConfigError(f"invalid window config (window_m = {window_m!r}): {exc}") from None
     ccdf = tuple(_parse_float_list(merged["ccdf_points_db"], "config field 'ccdf_points_db'"))
     return RunConfig(
         params=params,
@@ -201,19 +209,33 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _stat_rows(report: simkit.MetricsReport, **lead) -> list[dict]:
+    """One row per statistic of ``report``, after the ``lead`` columns."""
+    return [{**lead, "metric": name, **dataclasses.asdict(getattr(report, name))}
+            for name in simkit.STATS]
+
+
+def _csv(rows: list[dict]) -> str:
+    """Every CSV the CLI writes: a header of the first row's keys, then one
+    line per row; text as is, numbers by ``repr`` so every digit survives."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
           files: dict, started: tuple):
-    """Write output files plus the manifest.  ``started`` holds the clock and
-    the keep-out memo counters read when the invocation began, so the
+    """Write output files plus the manifest: a dict as JSON, a list of rows
+    as CSV, which is also printed.  ``started`` holds the clock and the
+    keep-out memo counters read when the invocation began, so the
     diagnostics count this invocation only."""
-    emitted = []
     for name, content in files.items():
-        path = out_dir / name
         if isinstance(content, dict):
-            _write_json(path, content)
+            _write_json(out_dir / name, content)
         else:
-            path.write_text(content)
-        emitted.append(name)
+            text = _csv(content)
+            print(text, end="")
+            (out_dir / name).write_text(text)
     clock, before = started
     after = analytic._keepout_average.cache_info()
     manifest = {   # what the invocation produced, for provenance and reruns
@@ -221,7 +243,7 @@ def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
         "config_path": config_path,
         "out_dir": str(out_dir),
         "config_hash": _config_hash(rc),
-        "files": sorted(emitted + ["manifest.json"]),
+        "files": sorted([*files, "manifest.json"]),
         "duration_s": time.monotonic() - clock,
         "config_resolved": rc.resolved_dict(),
         "diagnostics": {"keepout_cache": {
@@ -248,13 +270,14 @@ def _active_density(rc: RunConfig) -> float:
 def cmd_analyze(rc: RunConfig) -> dict:
     params = rc.params
     delta = rc.scheme.delta if rc.scheme.delta is not None else 0.0
-    p_max = analytic.max_cellular_coverage(params)
+    p_max, floor = planner.coverage_floor(rc.constraint(), params)
     density = _active_density(rc)
+    analytic.warn_if_loose(delta, params.lambda_m)
     table = {
         "d2d_success_prob": analytic.d2d_success_prob(params.beta, params),
         "d2d_ase_guard_zone_only": analytic.d2d_ase_step1(params.beta, delta, params),
         "p_max_c": p_max,
-        "coverage_floor": (1.0 - rc.mu) * p_max,
+        "coverage_floor": floor,
         "cellular_coverage": analytic.cellular_coverage(params.gamma, density, delta, params),
         "active_density": density,
         "guard_radius": delta,
@@ -329,22 +352,6 @@ def sweep_mu(configs: list[RunConfig]) -> list[tuple[float, simkit.MetricsReport
     return list(zip([c.mu for c in configs], simkit.run_schemes(configs[0], schemes)))
 
 
-def _compare_csv(result: dict) -> str:
-    lines = ["scheme,r_d,r_c,cellular_coverage,ase,paired_seeds"]
-    for name, row in result["rows"].items():
-        lines.append(f"{name},{row['r_d']!r},{row['r_c']!r},"
-                     f"{row['cellular_coverage']!r},{row['ase']!r},{row['paired_seeds']}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(report: simkit.MetricsReport) -> str:
-    lines = ["metric,mean,ci_low,ci_high,n"]
-    for row in report.csv_rows():
-        lines.append(f"{row['metric']},{row['mean']!r},{row['ci_low']!r},"
-                     f"{row['ci_high']!r},{row['n']}")
-    return "\n".join(lines) + "\n"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="d2dsim",
                                      description="D2D underlay access simulator and optimizer")
@@ -393,34 +400,28 @@ def main(argv=None) -> int:
             table = cmd_analyze(rc)
             for key, value in table.items():
                 print(f"{key:28s} {value:.6g}")
-            _emit(out_dir, "analyze", args.config, rc, {"analyze.json": table}, started)
+            files = {"analyze.json": table}
         elif args.subcommand == "simulate":
             report = simkit.run_experiment(rc)
-            print(_report_csv(report), end="")
-            files = {"report.json": dataclasses.asdict(report), "report.csv": _report_csv(report)}
-            _emit(out_dir, "simulate", args.config, rc, files, started)
+            files = {"report.json": dataclasses.asdict(report), "report.csv": _stat_rows(report)}
         elif args.subcommand == "optimize":
             plan = planner.decoupled_optimize(rc.params, rc.constraint())
             payload = plan.to_dict()
             payload["g_star_db"] = linear_to_db(plan.g_star) if plan.g_star > 0 else None
             for key, value in payload.items():
                 print(f"{key:22s} {value}")
-            _emit(out_dir, "optimize", args.config, rc, {"plan.json": payload}, started)
+            files = {"plan.json": payload}
         elif args.subcommand == "sweep":
-            if args.axis == "mu":
-                results = sweep_mu(swept)
-            else:
-                results = simkit.sweep(rc, args.axis, values)
-            csv_text = simkit.sweep_to_csv(args.axis, results)
-            print(csv_text, end="")
-            _emit(out_dir, "sweep", args.config, rc, {"sweep.csv": csv_text}, started)
-        elif args.subcommand == "compare":
+            results = sweep_mu(swept) if args.axis == "mu" else simkit.sweep(rc, args.axis, values)
+            files = {"sweep.csv": [row for value, report in results
+                                   for row in _stat_rows(report, axis=args.axis, value=value)]}
+        else:
             subset = tuple(args.scheme) if args.scheme else COMPARE_SCHEMES
             result = compare_schemes(rc, subset=subset, n_tuning=args.tuning_realizations)
-            csv_text = _compare_csv(result)
-            print(csv_text, end="")
-            _emit(out_dir, "compare", args.config, rc,
-                  {"compare.json": result, "compare.csv": csv_text}, started)
+            # a row's "scheme" key keeps its place and takes the scheme's name
+            files = {"compare.json": result, "compare.csv": [
+                {**row, "scheme": name} for name, row in result["rows"].items()]}
+        _emit(out_dir, args.subcommand, args.config, rc, files, started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -81,6 +81,19 @@ def optimal_access_prob(params: SystemParams) -> float:
     return min(lambert_w0(load * math.exp(-cross)) / load, 1.0)
 
 
+def coverage_floor(constraint: ConstraintSpec, params: SystemParams) -> tuple[float, float]:
+    """Single-tier coverage p_max and the floor (1 - mu) * p_max.
+
+    Both are at ``params.gamma``, so a ``constraint`` at another SIR target
+    is rejected rather than planned against the wrong floor.
+    """
+    if constraint.gamma != params.gamma:
+        raise ParameterError(f"constraint gamma {constraint.gamma} differs from the "
+                             f"system's gamma {params.gamma}")
+    p_max = analytic.max_cellular_coverage(params)
+    return p_max, (1.0 - constraint.mu) * p_max
+
+
 def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
                        params: SystemParams) -> float:
     """Smallest guard radius meeting the coverage floor, by bisection to 0.1 m.
@@ -88,17 +101,16 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
     The floor is (1 - mu) times the single-tier coverage; the analytic
     coverage is nondecreasing in the radius, so bisection applies.  Returns
     0 when no guard zone is needed and raises when even three mean cell radii
-    cannot meet the floor.  The probes do not warn; a returned radius beyond
-    the tight keep-out radius warns once.
+    cannot meet the floor.  A returned radius beyond the tight keep-out
+    radius warns once.
     """
     if not 0 <= p_s_star <= 1:
         raise ParameterError("p_s_star must be in [0, 1]")
-    p_max = analytic.max_cellular_coverage(params)
-    target = (1.0 - constraint.mu) * p_max
+    _, target = coverage_floor(constraint, params)
     density = p_s_star * params.lambda_d
 
     def coverage(delta):
-        return analytic.cellular_coverage(constraint.gamma, density, delta, params, warn=False)
+        return analytic.cellular_coverage(constraint.gamma, density, delta, params)
 
     if coverage(0.0) >= target:
         return 0.0
@@ -129,16 +141,15 @@ def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec) -> Plan
     p_s = optimal_access_prob(params)
     delta = solve_guard_radius(p_s, constraint, params)
     g = analytic.threshold_from_access_prob(p_s, params)
-    p_max = analytic.max_cellular_coverage(params)
-    coverage = analytic.cellular_coverage(constraint.gamma, p_s * params.lambda_d,
-                                          delta, params, warn=False)   # solve warned
+    p_max, floor = coverage_floor(constraint, params)
+    coverage = analytic.cellular_coverage(constraint.gamma, p_s * params.lambda_d, delta, params)
     return PlanResult(
         delta_star=delta,
         p_s_star=p_s,
         g_star=g,
         predicted_ase=analytic.d2d_ase_two_stage(delta, p_s, params),
         predicted_coverage=coverage,
-        constraint_residual=coverage - (1.0 - constraint.mu) * p_max,
+        constraint_residual=coverage - floor,
         p_max_coverage=p_max,
         method="decoupled",
     )
@@ -158,8 +169,7 @@ def exhaustive_search(params: SystemParams, constraint: ConstraintSpec,
     ps_values = list(ps_values)
     if not deltas or not ps_values:
         raise ParameterError("grid must contain at least one point")
-    p_max = analytic.max_cellular_coverage(params)
-    target = (1.0 - constraint.mu) * p_max
+    p_max, target = coverage_floor(constraint, params)
     grid = simkit.run_topfraction_grid(params, deltas, ps_values, n_realizations,
                                        seed, window=window)
     best = None

@@ -118,7 +118,7 @@ def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
     if n_cells:
         sources = np.concatenate([sources, assoc.users.xy])
         sinks = np.concatenate([sinks, assoc.bs.xy])
-    power = pairwise_distance(sources, sinks, pairs.window, squared=True)
+    power = pairwise_distance(sources, sinks, pairs.window)
     if power.size and power.min() <= 0.0:
         raise NumericalError("zero distance: a transmitter sits on a receiver")
     tx_mw = np.full((len(sources), 1), params.p_c_mw, dtype=float)

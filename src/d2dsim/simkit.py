@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import logging
 import math
 import os
@@ -77,7 +76,6 @@ class ExperimentConfig:
 class Realization:
     """One sampled network: geometry plus fading for both protocol phases."""
 
-    index: int
     bs: spatial.PointSet
     assoc: spatial.CellAssociation
     pairs: spatial.D2DPairSet
@@ -88,7 +86,12 @@ class Realization:
 
 @dataclass(frozen=True)
 class RealizationMetrics:
-    """Raw per-realization tallies; densities are computed at report time."""
+    """Raw per-realization tallies; densities are computed at report time.
+
+    ``ccdf_above_d2d`` and ``ccdf_above_cell`` count the D2D and cellular
+    SIRs strictly above each ``ccdf_points_db`` abscissa; the SIR samples
+    themselves are kept only under ``collect_sir_samples``.
+    """
 
     n_potential: int
     n_candidates: int
@@ -100,6 +103,8 @@ class RealizationMetrics:
     cellular_shannon_sum: float
     n_infinite_sir: int
     resample_attempts: int
+    ccdf_above_d2d: tuple = ()
+    ccdf_above_cell: tuple = ()
     sir_samples_d2d: tuple = ()
     sir_samples_cell: tuple = ()
 
@@ -134,10 +139,6 @@ class MetricsReport:
     n_infinite_sir: int
     n_resampled: int
 
-    def csv_rows(self):
-        for name in STATS:
-            yield {"metric": name, **dataclasses.asdict(getattr(self, name))}
-
 
 def realization_rng(seed: int, index: int, attempt: int = 0) -> np.random.Generator:
     """Independent substream for (master seed, realization index, resample attempt)."""
@@ -161,7 +162,7 @@ def sample_realization(config: ExperimentConfig, index: int) -> Realization:
             fading_data = radio.draw_fading(n, nb, rng)
         else:
             fading_data = fading_est   # coherent across both protocol phases
-        return Realization(index=index, bs=bs, assoc=assoc, pairs=pairs,
+        return Realization(bs=bs, assoc=assoc, pairs=pairs,
                            fading_est=fading_est, fading_data=fading_data,
                            resample_attempts=attempt)
     raise NumericalError(f"realization {index}: no base stations after {_MAX_RESAMPLE} attempts")
@@ -187,16 +188,19 @@ def _data_phase(active: ActiveSet, real: Realization, rp: radio.RadioParams,
     return active.powers, active.on_air
 
 
+def _count_above(sir: np.ndarray, thresholds: np.ndarray) -> tuple:
+    return tuple((sir > thresholds[:, None]).sum(axis=1).tolist())
+
+
 def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) -> RealizationMetrics:
     """Apply ``scheme`` to one sampled network and measure the data phase."""
     rp = config.radio_params()
     params = config.params
-    active = access.apply_scheme(scheme, real, real.fading_est, rp)
+    active = access.apply_scheme(scheme, real, rp)
     powers, on_air = _data_phase(active, real, rp, config.refresh_fading_between_phases)
     sir_d = radio.sir(*powers.d2d(on_air))
     sir_c = radio.sir(*powers.cellular(on_air))
-
-    keep_samples = config.collect_sir_samples or len(config.ccdf_points_db) > 0
+    thresholds = np.power(10.0, np.asarray(config.ccdf_points_db, dtype=float) / 10.0)
     return RealizationMetrics(
         n_potential=len(real.pairs),
         n_candidates=len(active.candidates),
@@ -208,8 +212,10 @@ def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) ->
         cellular_shannon_sum=float(_capped_rate(sir_c, config.rate_ceiling).sum()),
         n_infinite_sir=int(np.isinf(sir_d).sum()) + int(np.isinf(sir_c).sum()),
         resample_attempts=real.resample_attempts,
-        sir_samples_d2d=tuple(sir_d.tolist()) if keep_samples else (),
-        sir_samples_cell=tuple(sir_c.tolist()) if keep_samples else (),
+        ccdf_above_d2d=_count_above(sir_d, thresholds),
+        ccdf_above_cell=_count_above(sir_c, thresholds),
+        sir_samples_d2d=tuple(sir_d.tolist()) if config.collect_sir_samples else (),
+        sir_samples_cell=tuple(sir_c.tolist()) if config.collect_sir_samples else (),
     )
 
 
@@ -233,15 +239,10 @@ def _stat(values) -> MetricStat:
     return MetricStat(mean=mean, ci_low=mean - half, ci_high=mean + half, n=len(arr))
 
 
-def empirical_ccdf(samples, abscissae) -> np.ndarray:
-    """Fraction of samples strictly above each abscissa (abscissae sorted)."""
-    samples = np.asarray(samples, dtype=float)
-    abscissae = np.asarray(abscissae, dtype=float)
-    if samples.size == 0:
-        raise ParameterError("empirical_ccdf needs at least one sample")
-    if np.any(np.diff(abscissae) < 0):
-        raise ParameterError("abscissae must be sorted ascending")
-    return (samples[None, :] > abscissae[:, None]).mean(axis=1)
+def _pooled_ccdf(counts, total: int) -> tuple:
+    """Share of all ``total`` pooled SIRs above each abscissa, from the
+    per-realization ``counts``; empty when no SIR was measured."""
+    return tuple(sum(column) / total for column in zip(*counts)) if total else ()
 
 
 def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> MetricsReport:
@@ -257,17 +258,6 @@ def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> M
         act_frac.append(m.n_active / m.n_candidates if m.n_candidates else math.nan)
         cand_frac.append(m.n_candidates / m.n_potential if m.n_potential else math.nan)
 
-    abscissae_db = tuple(config.ccdf_points_db)
-    ccdf_d, ccdf_c = (), ()
-    if abscissae_db:
-        linear = np.power(10.0, np.asarray(abscissae_db) / 10.0)
-        d_samples = np.concatenate([np.asarray(m.sir_samples_d2d) for m in per_real]) \
-            if any(m.sir_samples_d2d for m in per_real) else np.zeros(0)
-        c_samples = np.concatenate([np.asarray(m.sir_samples_cell) for m in per_real]) \
-            if any(m.sir_samples_cell for m in per_real) else np.zeros(0)
-        ccdf_d = tuple(empirical_ccdf(d_samples, linear).tolist()) if d_samples.size else ()
-        ccdf_c = tuple(empirical_ccdf(c_samples, linear).tolist()) if c_samples.size else ()
-
     return MetricsReport(
         n_realizations=len(per_real),
         d2d_success_prob=_stat(success),
@@ -277,9 +267,11 @@ def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> M
         r_c=_stat(r_c),
         active_fraction=_stat(act_frac),
         candidate_fraction=_stat(cand_frac),
-        ccdf_abscissae_db=abscissae_db,
-        ccdf_d2d=ccdf_d,
-        ccdf_cell=ccdf_c,
+        ccdf_abscissae_db=tuple(config.ccdf_points_db),
+        ccdf_d2d=_pooled_ccdf([m.ccdf_above_d2d for m in per_real],
+                              sum(m.n_active for m in per_real)),
+        ccdf_cell=_pooled_ccdf([m.ccdf_above_cell for m in per_real],
+                               sum(m.n_cells for m in per_real)),
         n_infinite_sir=sum(m.n_infinite_sir for m in per_real),
         n_resampled=sum(1 for m in per_real if m.resample_attempts),
     )
@@ -347,16 +339,6 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, Metr
     else:
         reports = run_schemes(config, [c.scheme for c in configs])
     return list(zip(values, reports))
-
-
-def sweep_to_csv(axis: str, results: list[tuple[float, MetricsReport]]) -> str:
-    buf = io.StringIO()
-    buf.write("axis,value,metric,mean,ci_low,ci_high,n\n")
-    for value, report in results:
-        for row in report.csv_rows():
-            buf.write(f"{axis},{value!r},{row['metric']},{row['mean']!r},"
-                      f"{row['ci_low']!r},{row['ci_high']!r},{row['n']}\n")
-    return buf.getvalue()
 
 
 def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations: int,

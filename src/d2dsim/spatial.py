@@ -26,9 +26,9 @@ class Window:
     topology: str = TORUS
 
     def __post_init__(self):
-        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
-            raise ParameterError(
-                f"window sides must be positive and finite, got {self.width}x{self.height}")
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf and self.area < np.inf):
+            raise ParameterError("window sides and area must be positive and finite, "
+                                 f"got {self.width}x{self.height}")
         if self.topology not in (TORUS, BOUNDED):
             raise ParameterError(f"unknown topology {self.topology!r}")
 
@@ -47,13 +47,13 @@ class Window:
         return (x >= 0) & (x < self.width) & (y >= 0) & (y < self.height)
 
 
-def pairwise_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window,
-                      squared: bool = False) -> np.ndarray:
-    """Distance matrix (len(a), len(b)) under the window's topology.
+def pairwise_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window) -> np.ndarray:
+    """Squared distance matrix (len(a), len(b)) under the window's topology.
 
     On the torus each axis takes the shorter of the direct and wrapped
     separation, which is exactly the minimum over the 9 periodic images.
-    ``squared`` returns squared distances, built in place without ``hypot``.
+    Built in one buffer; callers compare or raise squared distances, so no
+    square root is taken.
     """
     a_xy = np.asarray(a_xy, dtype=float).reshape(-1, 2)
     b_xy = np.asarray(b_xy, dtype=float).reshape(-1, 2)
@@ -66,8 +66,6 @@ def pairwise_distance(a_xy: np.ndarray, b_xy: np.ndarray, window: Window,
         np.minimum(dx, wrapped, out=dx)
         np.subtract(window.height, dy, out=wrapped)
         np.minimum(dy, wrapped, out=dy)
-    if not squared:
-        return np.hypot(dx, dy, out=dx)
     np.multiply(dx, dx, out=dx)
     np.multiply(dy, dy, out=dy)
     return np.add(dx, dy, out=dx)
@@ -152,7 +150,11 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> Po
     """Homogeneous Poisson point process on the window."""
     if intensity < 0:
         raise ParameterError(f"intensity must be nonnegative, got {intensity}")
-    n = rng.poisson(intensity * window.area)
+    try:
+        n = rng.poisson(intensity * window.area)
+    except ValueError:
+        raise ParameterError(f"intensity {intensity} per m^2 over {window.area} m^2 gives "
+                             "a Poisson mean too large to draw") from None
     xy = rng.uniform((0.0, 0.0), (window.width, window.height), size=(n, 2))
     return PointSet(xy, window)
 
@@ -170,8 +172,8 @@ def outside_holes_mask(points: PointSet, hole_centers: PointSet, radius: float) 
         return np.zeros(0, dtype=bool)
     if radius == 0 or len(hole_centers) == 0:
         return np.ones(len(points), dtype=bool)
-    dist = pairwise_distance(points.xy, hole_centers.xy, points.window)
-    return dist.min(axis=1) > radius
+    dist2 = pairwise_distance(points.xy, hole_centers.xy, points.window)
+    return dist2.min(axis=1) > radius * radius
 
 
 def place_uplink_users(bs_points: PointSet, rng: np.random.Generator) -> CellAssociation:

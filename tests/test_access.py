@@ -249,17 +249,15 @@ class TestChannelAware:
 class TestApplyScheme:
     def test_guard_zone_only_at_zero_radius_equals_no_ac(self):
         real, rp = small_realization(9)
-        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=0.0),
-                                 real, real.fading_est, rp)
-        na = access.apply_scheme(SchemeSpec(kind="no_ac"), real, real.fading_est, rp)
+        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=0.0), real, rp)
+        na = access.apply_scheme(SchemeSpec(kind="no_ac"), real, rp)
         assert gz.active_ids == na.active_ids
 
     def test_full_fraction_equals_guard_zone_only(self):
         real, rp = small_realization(10)
         top = access.apply_scheme(SchemeSpec(kind="proposed_top_fraction", delta=200.0, p_s=1.0),
-                                  real, real.fading_est, rp)
-        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=200.0),
-                                 real, real.fading_est, rp)
+                                  real, rp)
+        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=200.0), real, rp)
         assert top.active_ids == gz.active_ids
 
     def test_containment_chain(self):
@@ -272,14 +270,14 @@ class TestApplyScheme:
             SchemeSpec(kind="no_ac"),
         ]):
             real, _ = small_realization(40 + i)
-            out = access.apply_scheme(spec, real, real.fading_est, rp)
+            out = access.apply_scheme(spec, real, rp)
             everyone = frozenset(range(len(real.pairs)))
             assert out.active_ids <= out.candidate_ids <= everyone
 
     def test_data_phase_sir_dominates_estimate_under_coherent_fading(self):
         real, rp = small_realization(11)
         out = access.apply_scheme(SchemeSpec(kind="proposed_threshold", delta=100.0, g=0.8),
-                                  real, real.fading_est, rp)
+                                  real, rp)
         if not len(out):
             pytest.skip("no active links in this draw")
         _, sig, inter = radio.d2d_sir_values(out.active, out.active, real.pairs,

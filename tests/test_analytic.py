@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from d2dsim import analytic, planner
+from d2dsim import analytic, cli, planner
 from d2dsim.analytic import DerivedConstants
 from d2dsim.errors import ApproximationWarning, ParameterError
 
@@ -186,8 +187,14 @@ class TestCellularCoverage:
         assert np.all((grid >= 0.0) & (grid <= 1.0))
 
     def test_loose_guard_radius_warns(self, params6):
-        with pytest.warns(ApproximationWarning):
+        # coverage never warns; the code that picks a radius does, once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ApproximationWarning)
             analytic.cellular_coverage(1.0, 1e-5, 400.0, params6)
+        rc = cli.resolve_config({"scheme.kind": "guard_zone_only", "scheme.delta": "400"})
+        with pytest.warns(ApproximationWarning) as record:
+            cli.cmd_analyze(rc)
+        assert len(record) == 1
 
 
 class TestKeepoutCache:
@@ -205,7 +212,7 @@ class TestKeepoutCache:
             rng.uniform(0.3, 3.0)        # threshold
             delta = float(rng.uniform(0.0, 250.0))
             p_s = float(rng.uniform(0.1, 0.9))
-            analytic.cellular_coverage(1.0, p_s * params.lambda_d, delta, params, warn=False)
+            analytic.cellular_coverage(1.0, p_s * params.lambda_d, delta, params)
         info = memo.cache_info()
         assert info.misses > info.maxsize   # the memo did have to evict
         assert info.currsize <= info.maxsize

@@ -184,7 +184,9 @@ class TestSweepCommand:
                 report = simkit.run_experiment(dataclasses.replace(rc, mu=mu, scheme=scheme))
                 expected.append((mu, report))
             assert planned[0] != planned[1]
-            assert (out / "sweep.csv").read_text() == simkit.sweep_to_csv("mu", expected)
+            assert (out / "sweep.csv").read_text() == cli._csv(
+                [row for mu, report in expected
+                 for row in cli._stat_rows(report, axis="mu", value=mu)])
 
     def test_empty_values_exit_two(self, tmp_path):
         path = write_config(tmp_path, TABLE_CONFIG)
@@ -238,6 +240,11 @@ MALFORMED_CASES = [
     ("n_realizations = 0\n", ("analyze",), "n_realizations"),
     ("n_jobs = 0\n", ("optimize",), "n_jobs"),
     ("n_realizations = 0\n", ("optimize",), "n_realizations"),
+    ("beta_db = 4000\n", (), "beta_db"),
+    ("gamma_db = 4000\n", (), "gamma_db"),
+    ("scheme.kind = proposed_threshold\nscheme.delta = 229\nscheme.g_db = 4000\n", (),
+     "scheme.g_db"),
+    ("window_m = 1e300\n", ("analyze",), "window_m = 1e+300"),
 ]
 
 
@@ -280,3 +287,21 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "optimize"])
+@pytest.mark.parametrize("extra", ["alpha = 400", "lambda_m = 1e-300"])
+def test_quadrature_overflow_exits_three(tmp_path, capsys, extra, subcommand):
+    path = write_config(tmp_path, TABLE_CONFIG + extra + "\n")
+    code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical error: quadrature overflowed") and err.count("\n") == 1
+
+
+def test_undrawable_poisson_mean_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, TABLE_CONFIG + "n_realizations = 1\nlambda_d = 1e300\n")
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "intensity 1e+300" in err and "9000000.0 m^2" in err and err.count("\n") == 1

@@ -21,7 +21,7 @@ def comparison():
 def test_four_rows_emitted(comparison):
     assert set(comparison["rows"]) == {"proposed", "channel_aware",
                                        "guard_zone_only", "no_ac"}
-    csv_text = cli._compare_csv(comparison)
+    csv_text = cli._csv([{**row, "scheme": name} for name, row in comparison["rows"].items()])
     assert len(csv_text.strip().splitlines()) == 5
 
 

@@ -221,10 +221,8 @@ def test_cellular_coverage_matches_nested_reference(alpha, dmin_law):
     for gamma, density, delta in ((1.0, 0.4463 * 6e-5, 229.0), (0.5, 2e-5, 0.0)):
         want = reference_coverage(gamma, density, delta, params, dmin_law)
         analytic._keepout_average.cache_clear()
-        cold = analytic.cellular_coverage(gamma, density, delta, params,
-                                          dmin_law=dmin_law, warn=False)
-        warm = analytic.cellular_coverage(gamma, density, delta, params,
-                                          dmin_law=dmin_law, warn=False)
+        cold = analytic.cellular_coverage(gamma, density, delta, params, dmin_law=dmin_law)
+        warm = analytic.cellular_coverage(gamma, density, delta, params, dmin_law=dmin_law)
         assert analytic._keepout_average.cache_info().hits > 0
         assert cold == want
         assert warm == want

@@ -208,6 +208,29 @@ class TestDecoupledOptimize:
         b = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3, gamma=1.0))
         assert a == b
 
+    def test_mismatched_gamma_rejected(self):
+        # the floor is at the system's SIR target; the coverage would be at the constraint's
+        with pytest.raises(ParameterError, match="gamma"):
+            planner.decoupled_optimize(make_params(gamma=1.0), ConstraintSpec(mu=0.3, gamma=2.0))
+
+
+class TestCoverageFloor:
+    def test_floor_is_one_minus_mu_of_single_tier(self, params6):
+        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        p_max, floor = planner.coverage_floor(constraint, params6)
+        assert p_max == analytic.max_cellular_coverage(params6)
+        assert floor == (1.0 - 0.3) * p_max
+        plan = planner.decoupled_optimize(params6, constraint)
+        assert plan.p_max_coverage == p_max
+        assert plan.constraint_residual == plan.predicted_coverage - floor
+
+    def test_every_planner_rejects_mismatched_gamma(self, params2):
+        constraint = ConstraintSpec(mu=0.3, gamma=2.0)
+        with pytest.raises(ParameterError, match="gamma"):
+            planner.solve_guard_radius(0.5, constraint, params2)
+        with pytest.raises(ParameterError, match="gamma"):
+            planner.exhaustive_search(params2, constraint, [0.0], [0.5], 1, 1)
+
 
 class TestExhaustiveSearch:
     def test_single_feasible_point_is_returned(self, params2):

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from d2dsim import analytic, cli, simkit
+from d2dsim import analytic, cli, radio, simkit, spatial
 from d2dsim.access import SchemeSpec
 from d2dsim.errors import ParameterError
 from d2dsim.simkit import ExperimentConfig
@@ -184,23 +185,87 @@ class TestRunSchemes:
         assert sampled == [0, 1, 2]
 
 
-class TestEmpiricalCcdf:
+def pooled_samples(cfg):
+    """Every D2D and every cellular SIR of ``cfg``'s run, pooled over its
+    realizations, from a run that keeps them."""
+    kept = dataclasses.replace(cfg, collect_sir_samples=True)
+    per_real = [simkit.run_realization(kept, i) for i in range(cfg.n_realizations)]
+    return (np.concatenate([m.sir_samples_d2d for m in per_real]),
+            np.concatenate([m.sir_samples_cell for m in per_real]))
+
+
+def pooled_ccdf(samples, abscissae_db) -> tuple:
+    """Reference CCDF: the share of the pooled samples strictly above each abscissa."""
+    thresholds = np.power(10.0, np.asarray(abscissae_db, dtype=float) / 10.0)
+    return tuple(float(np.mean(samples > t)) for t in thresholds)
+
+
+def ccdf_config(refresh, abscissae_db):
+    return tiny_config(scheme=SchemeSpec(kind="proposed_threshold", delta=100.0, g=1.0),
+                       refresh_fading_between_phases=refresh, ccdf_points_db=abscissae_db)
+
+
+def one_link_realization():
+    """One D2D link and one cell on exact binary distances and gains.
+
+    With unit powers and alpha = 4, the link's SIR is 4 * 2.5 = 10 (10 dB)
+    and the base station's is 16 * 6.25 = 100 (20 dB), both exact in floating point.
+    """
+    window = Window(1000.0, 1000.0)
+    pairs = spatial.D2DPairSet(spatial.PointSet([[100.0, 100.0]], window),
+                               spatial.PointSet([[116.0, 100.0]], window), link_length=16.0)
+    bs = spatial.PointSet([[132.0, 100.0]], window)
+    assoc = spatial.CellAssociation(bs=bs, users=spatial.PointSet([[132.0, 116.0]], window))
+    # rows: the link's transmitter, the user; columns: the link's receiver, the BS
+    fading = radio.FadingTable(np.array([[2.5, 1.0], [1.0, 6.25]]), n_links=1)
+    return simkit.Realization(bs=bs, assoc=assoc, pairs=pairs, fading_est=fading,
+                              fading_data=fading)
+
+
+class TestReportCcdf:
+    """The report's CCDFs, pooled from per-realization counts, equal the CCDF
+    of every SIR pooled, under coherent and refreshed fading."""
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    def test_matches_pooled_samples(self, refresh):
+        abscissae = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
+        cfg = ccdf_config(refresh, abscissae)
+        sir_d, sir_c = pooled_samples(cfg)
+        report = simkit.run_experiment(cfg)
+        assert report.ccdf_d2d == pooled_ccdf(sir_d, abscissae)
+        assert report.ccdf_cell == pooled_ccdf(sir_c, abscissae)
+
     def test_below_minimum_is_one(self):
-        assert simkit.empirical_ccdf([2.0, 3.0], [1.0])[0] == 1.0
+        for refresh in (False, True):
+            sir_d, sir_c = pooled_samples(ccdf_config(refresh, ()))
+            below = (math.floor(10 * math.log10(min(sir_d.min(), sir_c.min()))) - 1.0,)
+            report = simkit.run_experiment(ccdf_config(refresh, below))
+            assert report.ccdf_d2d == pooled_ccdf(sir_d, below) == (1.0,)
+            assert report.ccdf_cell == pooled_ccdf(sir_c, below) == (1.0,)
 
     def test_above_maximum_is_zero(self):
-        assert simkit.empirical_ccdf([2.0, 3.0], [5.0])[0] == 0.0
+        for refresh in (False, True):
+            sir_d, sir_c = pooled_samples(ccdf_config(refresh, ()))
+            assert np.all(np.isfinite(sir_d)) and np.all(np.isfinite(sir_c))
+            above = (math.ceil(10 * math.log10(max(sir_d.max(), sir_c.max()))) + 1.0,)
+            report = simkit.run_experiment(ccdf_config(refresh, above))
+            assert report.ccdf_d2d == pooled_ccdf(sir_d, above) == (0.0,)
+            assert report.ccdf_cell == pooled_ccdf(sir_c, above) == (0.0,)
 
     def test_strictly_above_semantics(self):
-        assert simkit.empirical_ccdf([2.0, 3.0], [2.0])[0] == 0.5
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ParameterError):
-            simkit.empirical_ccdf([], [1.0])
-
-    def test_unsorted_abscissae_rejected(self):
-        with pytest.raises(ParameterError):
-            simkit.empirical_ccdf([1.0], [2.0, 1.0])
+        # an SIR exactly at an abscissa is not above it
+        real = one_link_realization()
+        cfg = ExperimentConfig(params=make_params(p_c_mw=1.0, p_d_mw=1.0),
+                               scheme=SchemeSpec(kind="no_ac"), window=real.pairs.window,
+                               n_realizations=1, ccdf_points_db=(9.0, 10.0, 20.0),
+                               collect_sir_samples=True)
+        m = simkit._measure(cfg, cfg.scheme, real)
+        assert m.sir_samples_d2d == (10.0,) and m.sir_samples_cell == (100.0,)
+        assert m.ccdf_above_d2d == (1, 0, 0)
+        assert m.ccdf_above_cell == (1, 1, 0)
+        report = simkit.aggregate(cfg, [m])
+        assert report.ccdf_d2d == (1.0, 0.0, 0.0)
+        assert report.ccdf_cell == (1.0, 1.0, 0.0)
 
     def test_report_carries_ccdf_when_requested(self):
         cfg = tiny_config(ccdf_points_db=(-5.0, 0.0, 5.0))
@@ -208,6 +273,21 @@ class TestEmpiricalCcdf:
         assert len(report.ccdf_cell) == 3
         assert all(0.0 <= v <= 1.0 for v in report.ccdf_cell)
         assert np.all(np.diff(report.ccdf_cell) <= 0)
+
+    def test_samples_kept_only_when_asked(self):
+        cfg = tiny_config(ccdf_points_db=(-5.0, 0.0, 5.0))
+        for i in range(cfg.n_realizations):
+            m = simkit.run_realization(cfg, i)
+            assert m.sir_samples_d2d == () and m.sir_samples_cell == ()
+            assert len(m.ccdf_above_d2d) == len(m.ccdf_above_cell) == 3
+        kept = simkit.run_realization(dataclasses.replace(cfg, collect_sir_samples=True), 0)
+        assert len(kept.sir_samples_d2d) == kept.n_active
+        assert len(kept.sir_samples_cell) == kept.n_cells
+
+    def test_no_links_gives_empty_d2d_ccdf(self):
+        report = simkit.run_experiment(tiny_config(lambda_d=0.0, ccdf_points_db=(0.0,)))
+        assert report.ccdf_d2d == ()
+        assert len(report.ccdf_cell) == 1
 
 
 class TestSweep:
@@ -229,7 +309,8 @@ class TestSweep:
         cfg = tiny_config(scheme=SchemeSpec(kind="guard_zone_only", delta=100.0),
                           n_realizations=3)
         results = simkit.sweep(cfg, "delta", [50.0, 150.0])
-        text = simkit.sweep_to_csv("delta", results)
+        text = cli._csv([row for value, report in results
+                         for row in cli._stat_rows(report, axis="delta", value=value)])
         lines = text.strip().splitlines()
         assert lines[0] == "axis,value,metric,mean,ci_low,ci_high,n"
         assert len(lines) == 1 + 2 * 7

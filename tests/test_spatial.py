@@ -44,6 +44,8 @@ class TestWindow:
             Window(0.0, 10.0)
         with pytest.raises(ParameterError):
             Window(10.0, -1.0)
+        with pytest.raises(ParameterError, match="area"):
+            Window(1e300, 1e300)   # finite sides, infinite area
 
     def test_invalid_topology(self):
         with pytest.raises(ParameterError):
@@ -74,6 +76,19 @@ class TestToroidalDistance:
     def test_bounded_topology_is_euclidean(self):
         win = Window(3000.0, 3000.0, topology="bounded")
         assert spatial.paired_distance([0.0, 0.0], [2999.0, 0.0], win)[0] == pytest.approx(2999.0)
+
+    @pytest.mark.parametrize("topology", ["torus", "bounded"])
+    def test_pairwise_is_paired_squared(self, topology):
+        win = Window(3000.0, 2000.0, topology=topology)
+        rng = seeded(20)
+        a = rng.uniform((0, 0), (3000, 2000), size=(12, 2))
+        b = rng.uniform((0, 0), (3000, 2000), size=(9, 2))
+        d2 = spatial.pairwise_distance(a, b, win)
+        assert d2.shape == (12, 9)
+        for i in range(len(a)):
+            for j in range(len(b)):
+                d = spatial.paired_distance(a[i], b[j], win)[0]
+                assert d2[i, j] == pytest.approx(d * d, rel=1e-12)
 
 
 class TestSamplePpp:
@@ -205,10 +220,11 @@ class TestPlaceUplinkUsers:
             if len(bs) == 0:
                 continue
             assoc = spatial.place_uplink_users(bs, rng)
-            per_user.extend(
-                spatial.pairwise_distance(assoc.users.xy, bs.xy, window).min(axis=1).tolist())
+            per_user.extend(np.sqrt(
+                spatial.pairwise_distance(assoc.users.xy, bs.xy, window).min(axis=1)).tolist())
             pts = rng.uniform((0.0, 0.0), (3000.0, 3000.0), size=(10, 2))
-            probe.extend(spatial.pairwise_distance(pts, bs.xy, window).min(axis=1).tolist())
+            probe.extend(
+                np.sqrt(spatial.pairwise_distance(pts, bs.xy, window).min(axis=1)).tolist())
         probe = np.asarray(probe)
         se = probe.std(ddof=1) / math.sqrt(len(probe))
         assert abs(probe.mean() - 500.0) < 3 * se
@@ -224,8 +240,8 @@ class TestPlaceD2DPairs:
     def test_all_pair_distances_equal_link_length(self, window):
         tx = spatial.sample_ppp(3e-5, window, seeded(14))
         pairs = spatial.place_d2d_pairs(tx, 50.0, seeded(15))
-        d = spatial.pairwise_distance(pairs.transmitters.xy, pairs.receivers.xy,
-                                      window).diagonal()
+        d = np.sqrt(spatial.pairwise_distance(pairs.transmitters.xy, pairs.receivers.xy,
+                                              window).diagonal())
         assert np.allclose(d, 50.0, atol=1e-9)
 
     def test_isotropy_mean_displacement_near_zero(self, window):
