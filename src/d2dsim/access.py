@@ -186,7 +186,11 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
     if g_min is None:
         if not 0 <= p_s <= 1:
             raise ParameterError("p_s must be in [0, 1]")
-        g_min = -math.log(p_s) / pairs.link_length ** params.alpha if p_s else math.inf
+        try:
+            g_min = -math.log(p_s) / pairs.link_length ** params.alpha if p_s else math.inf
+        except OverflowError:
+            raise ParameterError(f"alpha = {params.alpha}: the link length "
+                                 f"{pairs.link_length} m to the power alpha overflows") from None
     ids = np.asarray(candidates, dtype=np.intp)
     own_gain = fading.gains[ids, ids] * pairs.link_length ** -params.alpha
     return ActiveSet(candidates=ids, on_air=np.flatnonzero(own_gain > g_min))

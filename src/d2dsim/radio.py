@@ -6,9 +6,14 @@ at all gets ``math.inf`` as a sentinel and is flagged by the caller.
 
 Every SIR comes from one received-power matrix: rows are D2D transmitters
 then uplink users, columns are D2D receivers then base stations.
-:func:`d2d_power_matrix` gives its pathloss, and :meth:`LinkPowers.build`,
-the one place where fading gains meet it, hands out signals as diagonals and
-interference as column sums.
+:func:`d2d_power_matrix` builds it through :func:`received_power`, the one
+place where fading gains meet the pathloss, and :meth:`LinkPowers.build`
+hands out its signals as diagonals and interference as column sums.
+
+The build runs in blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows along the
+output buffer's contiguous axis, ``n`` being that axis' length: each block's
+squared distances, pathloss and fading multiply stay in the L2 cache, where
+the whole matrix (about 2.5 MB at the reference density) does not.
 """
 from __future__ import annotations
 
@@ -19,6 +24,11 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .spatial import CellAssociation, D2DPairSet, pairwise_distance
+
+
+# Elements in one block of the received-power build: about 216 KB per float64
+# temporary, so a block's few buffers fit a 2 MB L2 cache together.
+BLOCK_ELEMENTS = 27_000
 
 
 def _take(matrix: np.ndarray, rows, cols) -> np.ndarray:
@@ -76,14 +86,23 @@ class FadingTable:
 
         Zero-copy when that is the whole table in stored order.
         """
+        index = self._index(links, n_cells)
+        if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
+            return self.gains
+        return _take(self.gains, index, index)
+
+    def from_users(self, links: np.ndarray, n_cells: int) -> np.ndarray:
+        """Gains from ``n_cells`` users to the receivers of links ``links``."""
+        index = self._index(links, n_cells)
+        return _take(self.gains, index[len(links):], index[:len(links)])
+
+    def _index(self, links: np.ndarray, n_cells: int) -> np.ndarray:
+        """Table positions of links ``links`` then of ``n_cells`` cells."""
         if len(links) and (links.min() < 0 or links.max() >= self.n_links):
             raise ParameterError("the fading table has no gains for some link")
         if n_cells > len(self.gains) - self.n_links:
             raise ParameterError("the fading table has no gains for some cell")
-        index = np.concatenate([links, np.arange(self.n_links, self.n_links + n_cells)])
-        if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
-            return self.gains
-        return _take(self.gains, index, index)
+        return np.concatenate([links, np.arange(self.n_links, self.n_links + n_cells)])
 
 
 def draw_fading(n_links: int, n_cells: int, rng: np.random.Generator) -> FadingTable:
@@ -99,17 +118,16 @@ def link_ids(ids) -> np.ndarray:
 
 
 def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
-                     assoc: CellAssociation | None = None) -> np.ndarray:
-    """Pathloss-only received power (mW) from every transmitter at every receiver.
+                     assoc: CellAssociation | None = None,
+                     gains: np.ndarray | None = None) -> np.ndarray:
+    """Received power (mW) from every transmitter at every receiver.
 
-    This is the package's one pathloss kernel; :meth:`LinkPowers.build`
-    applies the fading.  Row k is the
-    transmitter of link ``links[k]`` and column k its receiver, so the
-    diagonal carries each link's own signal power.  With ``assoc`` the
-    uplink users follow as rows and the base stations as columns, so user
-    ``u`` and base station ``u`` share an index.  Built from squared
-    distances in one buffer: for alpha = 4 the pathloss is
-    ``1 / (d2 * d2)``, otherwise ``d2 ** (-alpha / 2)``.
+    Row k is the transmitter of link ``links[k]`` and column k its receiver,
+    so the diagonal carries each link's own signal power.  With ``assoc``
+    the uplink users follow as rows and the base stations as columns, so
+    user ``u`` and base station ``u`` share an index.  ``gains``, laid out
+    the same way, multiplies in the fading; without it the power is
+    pathloss only.  See :func:`received_power` for the buffer it returns.
     """
     links = np.asarray(links, dtype=np.intp)
     sources = pairs.transmitters.xy[links]
@@ -118,18 +136,49 @@ def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
     if n_cells:
         sources = np.concatenate([sources, assoc.users.xy])
         sinks = np.concatenate([sinks, assoc.bs.xy])
-    power = pairwise_distance(sources, sinks, pairs.window)
-    if power.size and power.min() <= 0.0:
-        raise NumericalError("zero distance: a transmitter sits on a receiver")
-    tx_mw = np.full((len(sources), 1), params.p_c_mw, dtype=float)
+    tx_mw = np.full(len(sources), params.p_c_mw, dtype=float)
     tx_mw[:len(links)] = params.p_d_mw
-    if params.alpha == 4:
-        np.multiply(power, power, out=power)
-        np.divide(tx_mw, power, out=power)
-    else:
-        np.power(power, -0.5 * params.alpha, out=power)
-        np.multiply(power, tx_mw, out=power)
-    return power
+    return received_power(sources, sinks, tx_mw, pairs.window, params.alpha, gains)
+
+
+def received_power(sources, sinks, tx_mw: np.ndarray, window, alpha: float,
+                   gains: np.ndarray | None = None) -> np.ndarray:
+    """``tx_mw[i] * d(i, j) ** -alpha * gains[i, j]`` from each source to each sink.
+
+    The package's one pathloss kernel: ``1 / (d2 * d2)`` at alpha = 4,
+    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  A
+    writeable ``gains`` buffer is overwritten and returned, keeping its
+    memory order, since column sums round in buffer order; otherwise the
+    result is a new C-ordered buffer.  Each block of rows along the
+    buffer's contiguous axis gets its distances, pathloss, transmit power
+    and gains in one go.  A Fortran-ordered buffer is filled through its
+    transpose, sinks by sources, which is bit-exact: ``|a - b| == |b - a|``.
+    A zero distance in any block raises :class:`NumericalError`.
+    """
+    result = gains if gains is not None and gains.flags.writeable \
+        else np.empty((len(sources), len(sinks)))
+    out, tx_rows = result, tx_mw[:, None]
+    transposed = not result.flags.c_contiguous
+    if transposed:
+        sources, sinks, out, gains, tx_rows = sinks, sources, result.T, gains.T, tx_mw[None, :]
+    height = max(1, BLOCK_ELEMENTS // max(1, out.shape[1]))
+    for start in range(0, out.shape[0], height):
+        rows = slice(start, start + height)
+        power = pairwise_distance(sources[rows], sinks, window)
+        if power.size and power.min() <= 0.0:
+            raise NumericalError("zero distance: a transmitter sits on a receiver")
+        tx = tx_rows if transposed else tx_rows[rows]
+        if alpha == 4:
+            np.multiply(power, power, out=power)
+            np.divide(tx, power, out=power)
+        else:
+            np.power(power, -0.5 * alpha, out=power)
+            np.multiply(power, tx, out=power)
+        if gains is None:
+            out[rows] = power
+        else:
+            np.multiply(power, gains[rows], out=out[rows])
+    return result
 
 
 def sir(signal, interference) -> np.ndarray:
@@ -161,10 +210,8 @@ class LinkPowers:
               fading: FadingTable, params: RadioParams) -> "LinkPowers":
         """Compute the matrix for sorted link ids ``links`` under ``fading``."""
         links = np.asarray(links, dtype=np.intp)
-        power = d2d_power_matrix(links, pairs, params, assoc)
-        gains = fading.for_links(links, power.shape[0] - len(links))
-        # keep a gathered gain buffer's Fortran order: column sums round in buffer order
-        power = np.multiply(power, gains, out=gains if gains.flags.writeable else power)
+        n_cells = 0 if assoc is None else len(assoc)
+        power = d2d_power_matrix(links, pairs, params, assoc, fading.for_links(links, n_cells))
         own = np.arange(len(links))
         cells = np.arange(len(links), power.shape[0])
         d2d_signal = power[own, own]
@@ -223,9 +270,12 @@ class LinkPowers:
 
 def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation, pairs: D2DPairSet,
                                  fading: FadingTable, params: RadioParams) -> np.ndarray:
-    """Received power (mW) at each pair's receiver from each uplink user."""
-    k = len(rx_indices)
-    return LinkPowers.build(rx_indices, pairs, assoc, fading, params).interference[k:, :k]
+    """Received power (mW) at the receivers of links ``rx_indices`` (columns)
+    from each uplink user (rows)."""
+    rx = np.asarray(rx_indices, dtype=np.intp)
+    return received_power(assoc.users.xy, pairs.receivers.xy[rx],
+                          np.full(len(assoc), params.p_c_mw, dtype=float), pairs.window,
+                          params.alpha, fading.from_users(rx, len(assoc)))
 
 
 def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssociation,

@@ -28,6 +28,7 @@ from .spatial import Window
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE = 64
+_LOG_UNDERFLOW = -math.log(np.finfo(float).tiny)   # r ** -alpha underflows past this alpha * ln r
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,19 @@ class ExperimentConfig:
             # beyond this the wrap (or the bounded redraw) can no longer honor d
             raise ParameterError(f"d = {self.params.d} m exceeds half the window side, "
                                  f"{half_side} m")
+        self.check_pathloss_range()
+
+    def check_pathloss_range(self):
+        """Raise ``ParameterError`` naming ``alpha`` if the pathloss ``r ** -alpha``
+        at the window's farthest distance ``r`` is below the smallest normal
+        float: there the Monte Carlo loses far interference, and at large
+        enough alpha it measures every SIR as infinite."""
+        far = self.window.farthest_distance
+        if far > 1 and self.params.alpha * math.log(far) > _LOG_UNDERFLOW:
+            raise ParameterError(
+                f"alpha = {self.params.alpha}: the pathloss underflows at the window's "
+                f"farthest distance, {far:.6g} m; alpha must be at most "
+                f"{_LOG_UNDERFLOW / math.log(far):.6g} in this window")
 
     def radio_params(self) -> radio.RadioParams:
         p = self.params

@@ -36,6 +36,13 @@ class Window:
     def area(self) -> float:
         return self.width * self.height
 
+    @property
+    def farthest_distance(self) -> float:
+        """The largest distance between two points of the window."""
+        if self.topology == TORUS:
+            return float(np.hypot(self.width / 2, self.height / 2))
+        return float(np.hypot(self.width, self.height))
+
     def wrap(self, xy: np.ndarray) -> np.ndarray:
         """Map coordinates into [0, width) x [0, height) (torus only)."""
         if self.topology == TORUS:

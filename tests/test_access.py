@@ -237,6 +237,23 @@ class TestChannelAware:
         corr = np.corrcoef(np.asarray(first, dtype=float), np.asarray(second, dtype=float))[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(len(first))
 
+    def test_fraction_admits_what_its_threshold_admits(self):
+        real, rp = small_realization(7)
+        ids = range(len(real.pairs))
+        by_p_s = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp, p_s=0.5)
+        by_g_min = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp,
+                                                 g_min=-math.log(0.5) / 50.0 ** 4)
+        assert 0 < len(by_p_s) < len(real.pairs)
+        np.testing.assert_array_equal(by_p_s.on_air, by_g_min.on_air)
+
+    def test_overflowing_exponent_names_alpha(self):
+        real, _ = small_realization(8)
+        rp = radio.RadioParams(alpha=400.0, p_c_mw=10.0, p_d_mw=0.1)   # 50 ** 400 overflows
+        with pytest.raises(ParameterError, match="alpha = 400.0"):
+            access.channel_aware_activate(real.pairs, [0], real.fading_est, rp, p_s=0.5)
+        out = access.channel_aware_activate(real.pairs, [0], real.fading_est, rp, g_min=0.0)
+        assert len(out) == 0   # 50 ** -400 underflows to 0, which no gain beats
+
     def test_requires_exactly_one_selector(self):
         real, rp = small_realization(8)
         with pytest.raises(ParameterError):

@@ -245,6 +245,7 @@ MALFORMED_CASES = [
     ("scheme.kind = proposed_threshold\nscheme.delta = 229\nscheme.g_db = 4000\n", (),
      "scheme.g_db"),
     ("window_m = 1e300\n", ("analyze",), "window_m = 1e+300"),
+    ("alpha = 400\n", (), "alpha = 400.0: the pathloss underflows"),
 ]
 
 

@@ -45,6 +45,24 @@ def test_experiment_config_guards():
                              ccdf_points_db=(0.0, bad))
 
 
+def test_experiment_config_rejects_an_underflowing_pathloss():
+    # 2121 m is the farthest distance on a 3 km torus; 2121 ** -alpha stays a
+    # normal float up to alpha = 92.48
+    for alpha in (92.0, 93.0, 400.0):
+        build = lambda: ExperimentConfig(params=make_params(alpha=alpha),
+                                         scheme=SchemeSpec(kind="no_ac"))
+        if alpha < 92.48:
+            build()
+        else:
+            with pytest.raises(ParameterError, match=f"alpha = {alpha}.*2121.32 m"):
+                build()
+    bounded = spatial.Window(3000.0, 3000.0, topology="bounded")   # 4243 m corner to corner
+    assert bounded.farthest_distance == pytest.approx(3000.0 * 2 ** 0.5)
+    with pytest.raises(ParameterError, match="alpha = 90.0"):
+        ExperimentConfig(params=make_params(alpha=90.0), scheme=SchemeSpec(kind="no_ac"),
+                         window=bounded)
+
+
 def test_cell_association_accessors(window):
     bs = spatial.PointSet(np.array([[100.0, 100.0], [2000.0, 2000.0]]), window)
     users = spatial.PointSet(np.array([[150.0, 100.0], [2100.0, 2000.0]]), window)
