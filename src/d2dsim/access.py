@@ -25,6 +25,7 @@ NO_AC = "no_ac"
 
 SCHEME_KINDS = (PROPOSED_THRESHOLD, PROPOSED_TOP_FRACTION, CHANNEL_AWARE,
                 GUARD_ZONE_ONLY, NO_AC)
+PROPOSED_KINDS = (PROPOSED_THRESHOLD, PROPOSED_TOP_FRACTION)   # the kinds that estimate SIRs
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ class ActiveSet:
     ``candidates`` are the sorted ids of the links that passed stage 1 and
     ``on_air`` the ascending positions among them of the admitted links.
     When the rule ran the estimation phase, ``powers`` holds its received
-    powers over the candidates (``powers.links`` is ``candidates``) and
-    ``sir`` the estimated SIR at each candidate, so stage 2 and the data
-    phase slice them instead of recomputing.  ``active_ids`` and
-    ``candidate_ids`` give the same link sets as frozensets.
+    powers over links that include the candidates and ``sir`` the estimated
+    SIR at each candidate, so stage 2 and the data phase slice them instead
+    of recomputing.  ``active_ids`` and ``candidate_ids`` give the same link
+    sets as frozensets.
     """
 
     candidates: np.ndarray
@@ -130,9 +131,18 @@ def estimation_phase(candidates, pairs: spatial.D2DPairSet, assoc: spatial.CellA
     two-stage protocol.  ``candidates`` are sorted link ids.
     """
     ids = np.asarray(candidates, dtype=np.intp)
-    powers = radio.LinkPowers.build(ids, pairs, assoc, fading, params)
-    return ActiveSet(candidates=ids, on_air=np.arange(len(ids)), powers=powers,
-                     sir=radio.sir(*powers.d2d()))
+    return estimate(ids, radio.LinkPowers.build(ids, pairs, assoc, fading, params))
+
+
+def estimate(candidates: np.ndarray, powers: radio.LinkPowers) -> ActiveSet:
+    """:func:`estimation_phase` on ``powers``, the estimation phase's received
+    powers over links that include the sorted ids ``candidates``.
+
+    Each SIR rounds as in a matrix built over the candidates alone.
+    """
+    sir = radio.sir(*powers.d2d_alone(powers.positions(candidates)))
+    return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)), powers=powers,
+                     sir=sir)
 
 
 def stage2_threshold(estimated: ActiveSet, g: float) -> ActiveSet:
@@ -196,6 +206,41 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
     return ActiveSet(candidates=ids, on_air=np.flatnonzero(own_gain > g_min))
 
 
+def reach(spec: SchemeSpec, realization, params: radio.RadioParams) -> ActiveSet:
+    """The decisions of ``spec`` that need no received power.
+
+    ``on_air`` holds every link the scheme can put on air: all links for
+    ``no_ac``, the stage-1 candidates for ``guard_zone_only`` and
+    ``proposed_*``, the admitted links for ``channel_aware``.  Only the
+    ``proposed_*`` kinds choose among them, in :func:`activate`.
+    ``realization`` is as in :func:`apply_scheme`.
+    """
+    pairs = realization.pairs
+    if spec.kind == NO_AC:
+        everyone = np.arange(len(pairs))
+        return ActiveSet(candidates=everyone, on_air=everyone)
+    candidates = stage1_guard_zone(pairs, realization.bs, spec.delta)
+    if spec.kind == CHANNEL_AWARE:
+        return channel_aware_activate(pairs, candidates, realization.fading_est, params,
+                                      g_min=spec.g_min, p_s=spec.p_s)
+    return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)))
+
+
+def activate(spec: SchemeSpec, reached: ActiveSet, powers: radio.LinkPowers | None) -> ActiveSet:
+    """Finish ``spec`` from :func:`reach`'s ``reached``.
+
+    The ``proposed_*`` kinds run the estimation phase on ``powers`` (see
+    :func:`estimate`) and stage 2; every other kind is already done and
+    ignores ``powers``.
+    """
+    if spec.kind not in PROPOSED_KINDS:
+        return reached
+    estimated = estimate(reached.candidates, powers)
+    if spec.kind == PROPOSED_THRESHOLD:
+        return stage2_threshold(estimated, spec.g)
+    return stage2_top_fraction(estimated, spec.p_s)
+
+
 def apply_scheme(spec: SchemeSpec, realization, params: radio.RadioParams) -> ActiveSet:
     """Dispatch a scheme spec against one realization.
 
@@ -203,18 +248,9 @@ def apply_scheme(spec: SchemeSpec, realization, params: radio.RadioParams) -> Ac
     (PointSet), ``assoc`` (CellAssociation) and ``fading_est``
     (FadingTable, the estimation phase's gains) attributes.
     """
-    pairs, bs, assoc = realization.pairs, realization.bs, realization.assoc
-    fading = realization.fading_est
-    if spec.kind == NO_AC:
-        everyone = np.arange(len(pairs))
-        return ActiveSet(candidates=everyone, on_air=everyone)
-    candidates = stage1_guard_zone(pairs, bs, spec.delta)
-    if spec.kind == GUARD_ZONE_ONLY:
-        return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)))
-    if spec.kind == CHANNEL_AWARE:
-        return channel_aware_activate(pairs, candidates, fading, params,
-                                      g_min=spec.g_min, p_s=spec.p_s)
-    estimated = estimation_phase(candidates, pairs, assoc, fading, params)
-    if spec.kind == PROPOSED_THRESHOLD:
-        return stage2_threshold(estimated, spec.g)
-    return stage2_top_fraction(estimated, spec.p_s)
+    reached = reach(spec, realization, params)
+    powers = None
+    if spec.kind in PROPOSED_KINDS:
+        powers = radio.LinkPowers.build(reached.candidates, realization.pairs,
+                                        realization.assoc, realization.fading_est, params)
+    return activate(spec, reached, powers)

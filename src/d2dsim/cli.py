@@ -301,10 +301,9 @@ COMPARE_SCHEMES = ("proposed", "channel_aware", "guard_zone_only", "no_ac")
 CHANNEL_AWARE_P_AC = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
-    """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
-    guard radius) with the best measured fixed-rate ASE, subject to the
-    analytic coverage floor.  The first of equal maxima wins."""
+def _channel_aware_grid(rc: RunConfig) -> list[SchemeSpec]:
+    """The channel-aware scheme at each access probability in
+    ``CHANNEL_AWARE_P_AC`` whose guard radius meets the coverage floor."""
     schemes = []
     for p_ac in CHANNEL_AWARE_P_AC:
         try:
@@ -314,28 +313,60 @@ def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
         schemes.append(SchemeSpec(kind=access.CHANNEL_AWARE, delta=delta, p_s=p_ac))
     if not schemes:
         raise NumericalError("no channel-aware operating point meets the coverage floor")
-    reports = simkit.run_schemes(dataclasses.replace(rc, n_realizations=n_tuning), schemes)
-    return max(zip(schemes, reports), key=lambda pair: pair[1].ase.mean)[0]
+    return schemes
+
+
+def _best_ase(rc: RunConfig, per_real: list) -> int:
+    """Position of the scheme with the best measured fixed-rate ASE over the
+    per-realization metrics ``per_real``; the first of equal maxima wins."""
+    reports = [simkit.aggregate(rc, list(column)) for column in zip(*per_real)]
+    return max(range(len(reports)), key=lambda i: reports[i].ase.mean)
+
+
+def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
+    """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
+    guard radius) with the best fixed-rate ASE measured on networks
+    ``0 … n_tuning - 1``, subject to the analytic coverage floor."""
+    grid = _channel_aware_grid(rc)
+    return grid[_best_ase(rc, simkit.measure_schemes(rc, grid, range(n_tuning)))]
 
 
 def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) -> dict:
-    """Table of coverage / sum-rate metrics for the access schemes, one shared seed."""
+    """Table of coverage / sum-rate metrics for the access schemes, one shared seed.
+
+    The channel-aware grid is measured with the other schemes on networks
+    ``0 … n_tuning - 1``, and its best point (see :func:`tune_channel_aware`)
+    keeps those metrics for its row, so each network is sampled once.  The
+    guard-zone-only radius is the grid's at access probability 1 when the
+    grid has that point.
+    """
     plan = planner.decoupled_optimize(rc.params, rc.constraint())
+    grid = _channel_aware_grid(rc) if "channel_aware" in subset else []
     schemes: dict[str, SchemeSpec] = {}
     if "proposed" in subset:
         schemes["proposed"] = planned_scheme(access.PROPOSED_THRESHOLD, plan)
-    if "channel_aware" in subset:
-        schemes["channel_aware"] = tune_channel_aware(rc, n_tuning=n_tuning)
     if "guard_zone_only" in subset:
-        delta_gz = planner.solve_guard_radius(1.0, rc.constraint(), rc.params)
+        delta_gz = next((s.delta for s in grid if s.p_s == 1.0), None)
+        if delta_gz is None:
+            delta_gz = planner.solve_guard_radius(1.0, rc.constraint(), rc.params)
         schemes["guard_zone_only"] = SchemeSpec(kind=access.GUARD_ZONE_ONLY, delta=delta_gz)
     if "no_ac" in subset:
         schemes["no_ac"] = SchemeSpec(kind=access.NO_AC)
+    fixed, n = list(schemes.values()), rc.n_realizations
+    n_head = min(n, n_tuning) if grid else 0
+    head = simkit.measure_schemes(rc, fixed + grid, range(n_head))
+    if grid:   # networks past the table's, if any, serve the tuning alone
+        tuning = [row[len(fixed):] for row in head]
+        best = _best_ase(rc, tuning + simkit.measure_schemes(rc, grid, range(n, n_tuning)))
+        schemes["channel_aware"] = grid[best]
+        head = [row[:len(fixed)] + [row[len(fixed) + best]] for row in head]
+    per_real = head + simkit.measure_schemes(rc, list(schemes.values()), range(n_head, n))
+    columns = dict(zip(schemes, zip(*per_real)))
     rows = {}
-    reports = simkit.run_schemes(rc, schemes.values())
-    for (name, scheme), report in zip(schemes.items(), reports):
+    for name in sorted(schemes, key=COMPARE_SCHEMES.index):
+        report = simkit.aggregate(rc, list(columns[name]))
         rows[name] = {
-            "scheme": scheme.to_dict(),
+            "scheme": schemes[name].to_dict(),
             "r_d": report.r_d.mean,
             "r_c": report.r_c.mean,
             "cellular_coverage": report.cellular_coverage.mean,
@@ -347,7 +378,6 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
 
 SWEEP_AXES = simkit.SWEEP_AXES + ("mu",)
 MONTE_CARLO_SUBCOMMANDS = ("simulate", "sweep", "compare")
-PLANNED_KINDS = (access.PROPOSED_THRESHOLD, access.PROPOSED_TOP_FRACTION)
 
 
 def sweep_mu(configs: list[RunConfig]) -> list[tuple[float, simkit.MetricsReport]]:
@@ -388,7 +418,7 @@ def main(argv=None) -> int:
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
             if args.axis == "mu":
-                if rc.scheme.kind not in PLANNED_KINDS:
+                if rc.scheme.kind not in access.PROPOSED_KINDS:
                     raise ConfigError(f"the mu axis needs a proposed_* scheme.kind, "
                                       f"got {rc.scheme.kind!r}")
                 swept = [dataclasses.replace(rc, mu=v) for v in values]

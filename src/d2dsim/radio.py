@@ -36,6 +36,19 @@ def _take(matrix: np.ndarray, rows, cols) -> np.ndarray:
     return matrix[rows][:, cols]
 
 
+def _column_sums(matrix: np.ndarray, rows, cols) -> np.ndarray:
+    """``_take(matrix, rows, cols).sum(axis=0)``: each column summed pairwise,
+    as in that Fortran-ordered gather, but gathered ``BLOCK_ELEMENTS //
+    len(matrix)`` columns at a time (as rows of the transpose), so the whole
+    selection is never held at once."""
+    out = np.empty(len(cols))
+    width = max(1, BLOCK_ELEMENTS // max(1, len(matrix)))
+    for start in range(0, len(cols), width):
+        block = np.take(matrix.T[cols[start:start + width]], rows, axis=1)
+        np.sum(block, axis=1, out=out[start:start + width])
+    return out
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Transmit powers and the power-law pathloss exponent (no noise term)."""
@@ -221,31 +234,54 @@ class LinkPowers:
         return cls(links=links, interference=power, d2d_signal=d2d_signal,
                    cell_signal=cell_signal)
 
+    def positions(self, links) -> np.ndarray:
+        """Positions of the sorted link ids ``links``, each one of ``self.links``."""
+        return np.searchsorted(self.links, links)
+
+    def _cells(self) -> np.ndarray:
+        return np.arange(len(self.links), self.interference.shape[0])
+
     def _on_air(self, tx) -> np.ndarray:
         """Row positions of links ``tx`` followed by every uplink user."""
-        return np.concatenate([tx, np.arange(len(self.links), self.interference.shape[0])])
+        return np.concatenate([tx, self._cells()])
 
     def d2d(self, rx=None, tx=None):
         """Signal and interference (mW) at the receivers of positions ``rx``.
 
         Positions ``tx`` and every uplink user transmit; ``tx`` defaults to
-        ``rx`` and both default to every link.
+        ``rx`` and both default to every link.  Given positions, each
+        interference is summed pairwise over the rows on air.
         """
         k = len(self.links)
         if rx is None and tx is None:
             return self.d2d_signal, self.interference[:, :k].sum(axis=0)
         rx = np.arange(k) if rx is None else rx
         tx = rx if tx is None else tx
-        return self.d2d_signal[rx], _take(self.interference, self._on_air(tx), rx).sum(axis=0)
+        return self.d2d_signal[rx], _column_sums(self.interference, self._on_air(tx), rx)
 
     def cellular(self, tx=None):
         """Own-user signal and interference (mW) at every base station.
 
         Every uplink user and the links at positions ``tx`` (default: all)
-        transmit.
+        transmit.  Given positions, each interference is summed row by row
+        over the rows on air.
         """
         rows = slice(None) if tx is None else self._on_air(tx)
         return self.cell_signal, self.interference[rows, len(self.links):].sum(axis=0)
+
+    def d2d_alone(self, at):
+        """:meth:`d2d` while only the links at positions ``at`` and the users
+        transmit, rounded as a matrix built over those links alone rounds it:
+        as stored when ``at`` is every position, pairwise (as in a gathered,
+        Fortran-ordered build) otherwise."""
+        return self.d2d() if len(at) == len(self.links) else self.d2d(at)
+
+    def cellular_alone(self, at):
+        """:meth:`cellular` while the links at positions ``at`` transmit,
+        rounded as in :meth:`d2d_alone`."""
+        if len(at) == len(self.links):
+            return self.cellular()
+        return self.cell_signal, _column_sums(self.interference, self._on_air(at), self._cells())
 
     def nested(self, ranked, counts):
         """Signal and interference while each prefix ``ranked[:c]`` transmits.
@@ -255,7 +291,7 @@ class LinkPowers:
         prefix cost one row of the cumulative sum.
         """
         k = len(self.links)
-        users = np.arange(k, self.interference.shape[0])
+        users = self._cells()
         cum_d2d = np.cumsum(_take(self.interference, ranked, ranked), axis=0)
         from_users = _take(self.interference, users, ranked).sum(axis=0)
         cum_bs = np.cumsum(self.interference[ranked, k:], axis=0)

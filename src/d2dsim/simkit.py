@@ -1,11 +1,12 @@
 """Monte Carlo experiment harness.
 
 Samples each network realization once, from a per-index substream of one
-master seed, applies every requested access scheme to it, measures link SIRs
-in the data phase, and aggregates coverage, fixed-rate area spectral
-efficiency, and Shannon sum-rate densities with normal-approximation
-confidence intervals.  Realizations may run in a process pool; results are
-reduced in index order so reports are bit-identical regardless of worker count.
+master seed, applies every requested access scheme to it on one shared
+received-power matrix, measures link SIRs in the data phase, and aggregates
+coverage, fixed-rate area spectral efficiency, and Shannon sum-rate
+densities with normal-approximation confidence intervals.  Realizations
+may run in a process pool; results are reduced in index order so reports
+are bit-identical regardless of worker count.
 """
 from __future__ import annotations
 
@@ -187,33 +188,34 @@ def _capped_rate(sir: np.ndarray, ceiling: float) -> np.ndarray:
     return np.where(np.isinf(sir), ceiling, rate)
 
 
-def _data_phase(active: ActiveSet, real: Realization, rp: radio.RadioParams,
-                refresh_fading: bool):
-    """Received powers for the data phase, and the positions in them of the
-    links on air (``None``: all of them).
-
-    Under coherent fading the estimation phase's matrix is sliced; schemes
-    without an estimation phase, and refreshed fading, get a matrix over the
-    active links alone under the data-phase draw.
-    """
-    if active.powers is None or refresh_fading:
-        return radio.LinkPowers.build(active.active, real.pairs, real.assoc,
-                                      real.fading_data, rp), None
-    return active.powers, active.on_air
-
-
 def _count_above(sir: np.ndarray, thresholds: np.ndarray) -> tuple:
     return tuple((sir > thresholds[:, None]).sum(axis=1).tolist())
 
 
-def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) -> RealizationMetrics:
-    """Apply ``scheme`` to one sampled network and measure the data phase."""
-    rp = config.radio_params()
+def _shared_powers(real: Realization, link_sets, fading: radio.FadingTable,
+                   rp: radio.RadioParams) -> radio.LinkPowers:
+    """One received-power matrix over every link in any of ``link_sets``."""
+    covered = np.zeros(len(real.pairs), dtype=bool)
+    for links in link_sets:
+        covered[links] = True
+    return radio.LinkPowers.build(np.flatnonzero(covered), real.pairs, real.assoc, fading, rp)
+
+
+def _metrics(config: ExperimentConfig, real: Realization, active: ActiveSet,
+             powers: radio.LinkPowers) -> RealizationMetrics:
+    """Measure the data phase of ``active`` on ``powers``, received powers
+    under the data-phase draw over links that include every link on air.
+
+    On the matrix of its own estimation phase, a scheme's SIRs round as a
+    slice of the candidates' matrix does; otherwise, as a matrix built over
+    the links on air alone.
+    """
+    at = powers.positions(active.active)
+    if active.powers is powers:
+        sir_d, sir_c = radio.sir(*powers.d2d(at)), radio.sir(*powers.cellular(at))
+    else:
+        sir_d, sir_c = radio.sir(*powers.d2d_alone(at)), radio.sir(*powers.cellular_alone(at))
     params = config.params
-    active = access.apply_scheme(scheme, real, rp)
-    powers, on_air = _data_phase(active, real, rp, config.refresh_fading_between_phases)
-    sir_d = radio.sir(*powers.d2d(on_air))
-    sir_c = radio.sir(*powers.cellular(on_air))
     thresholds = np.power(10.0, np.asarray(config.ccdf_points_db, dtype=float) / 10.0)
     return RealizationMetrics(
         n_potential=len(real.pairs),
@@ -233,14 +235,54 @@ def _measure(config: ExperimentConfig, scheme: SchemeSpec, real: Realization) ->
     )
 
 
+def _measure_all(config: ExperimentConfig, schemes: list,
+                 real: Realization) -> list[RealizationMetrics]:
+    """Apply every scheme to one sampled network and measure its data phase.
+
+    One received-power matrix, under the estimation-phase draw, covers every
+    link any scheme can put on air; each estimation phase, stage 2 and, under
+    coherent fading, data phase slices it.  Refreshed fading builds one more,
+    under the data-phase draw, over every link on air, and the first then
+    covers only the candidates of the schemes that estimate.  A lone scheme
+    gets the matrices it would get on its own.
+    """
+    rp = config.radio_params()
+    refresh = config.refresh_fading_between_phases
+    reached = [access.reach(scheme, real, rp) for scheme in schemes]
+    covered = [r.active for scheme, r in zip(schemes, reached)
+               if not refresh or scheme.kind in access.PROPOSED_KINDS]
+    powers = _shared_powers(real, covered, real.fading_est, rp) if covered else None
+    actives = [access.activate(scheme, r, powers) for scheme, r in zip(schemes, reached)]
+    if refresh:
+        powers = _shared_powers(real, [a.active for a in actives], real.fading_data, rp)
+    return [_metrics(config, real, active, powers) for active in actives]
+
+
+def _measure_index(config: ExperimentConfig, schemes: list, index: int) -> list[RealizationMetrics]:
+    return _measure_all(config, schemes, sample_realization(config, index))
+
+
 def run_realization(config: ExperimentConfig, index: int) -> RealizationMetrics:
     """Sample network ``index`` and measure ``config.scheme`` on it."""
-    return _measure(config, config.scheme, sample_realization(config, index))
+    return _measure_index(config, [config.scheme], index)[0]
 
 
-def _measure_all(config: ExperimentConfig, schemes: list, index: int) -> list[RealizationMetrics]:
-    real = sample_realization(config, index)
-    return [_measure(config, scheme, real) for scheme in schemes]
+def measure_schemes(config: ExperimentConfig, schemes, indices) -> list[list[RealizationMetrics]]:
+    """Per-realization metrics of every scheme on the networks ``indices``:
+    one list per index, in order, with one entry per scheme.
+
+    Each network is sampled once and serves every scheme.  ``config.scheme``
+    is not used.  The pool has at most one worker per CPU and per index;
+    with one, the run is serial.
+    """
+    indices = list(indices)
+    workers = min(config.n_jobs, os.cpu_count() or 1, len(indices))
+    task = functools.partial(_measure_index, config, list(schemes))
+    if workers <= 1:
+        return [task(i) for i in indices]
+    chunk = max(1, len(indices) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, indices, chunksize=chunk))
 
 
 def _stat(values) -> MetricStat:
@@ -292,21 +334,9 @@ def aggregate(config: ExperimentConfig, per_real: list[RealizationMetrics]) -> M
 
 
 def run_schemes(config: ExperimentConfig, schemes) -> list[MetricsReport]:
-    """One report per scheme; each realization is sampled once and serves all.
-
-    ``config.scheme`` is not used.  The pool has at most one worker per CPU;
-    with one, the run is serial.
-    """
-    schemes = list(schemes)
-    indices = range(config.n_realizations)
-    workers = min(config.n_jobs, os.cpu_count() or 1)
-    task = functools.partial(_measure_all, config, schemes)
-    if workers == 1:
-        per_real = [task(i) for i in indices]
-    else:
-        chunk = max(1, config.n_realizations // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_real = list(pool.map(task, indices, chunksize=chunk))
+    """One report per scheme, aggregated from :func:`measure_schemes` over
+    networks ``0 … n_realizations - 1``; ``config.scheme`` is not used."""
+    per_real = measure_schemes(config, schemes, range(config.n_realizations))
     return [aggregate(config, list(column)) for column in zip(*per_real)]
 
 

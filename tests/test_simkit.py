@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from d2dsim import analytic, cli, radio, simkit, spatial
+from d2dsim import access, analytic, cli, radio, simkit, spatial
 from d2dsim.access import SchemeSpec
 from d2dsim.errors import ParameterError
 from d2dsim.simkit import ExperimentConfig
@@ -166,23 +166,112 @@ class TestRunSchemes:
         assert sampled == list(range(6))
 
     @pytest.mark.parametrize("caller", ["tune_channel_aware", "compare_schemes", "sweep",
-                                        "sweep_mu"])
+                                        "sweep_mu", "compare_schemes_tuning_2",
+                                        "compare_schemes_tuning_3", "compare_schemes_tuning_5"])
     def test_callers_sample_each_realization_once(self, monkeypatch, caller):
         rc = cli.resolve_config({"lambda_m": "4e-6", "lambda_d": "4e-5", "window_m": "1000",
                                  "n_realizations": "3", "seed": "7",
                                  "scheme.kind": "guard_zone_only", "scheme.delta": "0"})
         sampled = count_samples(monkeypatch)
+        expected = [0, 1, 2]
         if caller == "tune_channel_aware":
             cli.tune_channel_aware(rc, n_tuning=3)
         elif caller == "compare_schemes":
             cli.compare_schemes(rc, subset=("proposed", "guard_zone_only", "no_ac"))
+        elif caller.startswith("compare_schemes_tuning_"):
+            # the channel-aware tuning shares networks 0 ... n_tuning - 1 with the table
+            n_tuning = int(caller.rpartition("_")[2])
+            cli.compare_schemes(rc, n_tuning=n_tuning)
+            expected = list(range(max(rc.n_realizations, n_tuning)))
         elif caller == "sweep":
             simkit.sweep(rc, "delta", [0.0, 100.0, 200.0])
         else:
             proposed = dataclasses.replace(rc, scheme=SchemeSpec(kind="proposed_threshold",
                                                                  delta=0.0, g=1.0))
             cli.sweep_mu([dataclasses.replace(proposed, mu=mu) for mu in (0.3, 0.5, 1.0)])
-        assert sampled == [0, 1, 2]
+        assert sampled == expected
+
+
+SHARED_SCHEMES = {
+    "no_ac": SchemeSpec(kind="no_ac"),
+    "guard_zone": SchemeSpec(kind="guard_zone_only", delta=100.0),
+    "channel_aware_p_s": SchemeSpec(kind="channel_aware", delta=100.0, p_s=0.5),
+    "channel_aware_g_min": SchemeSpec(kind="channel_aware", delta=150.0, g_min=1e-7),
+    "threshold_near": SchemeSpec(kind="proposed_threshold", delta=50.0, g=1.0),
+    "threshold_far": SchemeSpec(kind="proposed_threshold", delta=150.0, g=0.5),
+    "top_fraction_far": SchemeSpec(kind="proposed_top_fraction", delta=150.0, p_s=0.55),
+}
+
+MIXES = [   # each mix's shared matrix covers a different union of links
+    list(SHARED_SCHEMES),                                       # every link
+    ["guard_zone", "threshold_near", "top_fraction_far"],       # no no_ac
+    ["no_ac", "threshold_far"],
+    ["threshold_near", "threshold_far", "top_fraction_far"],    # two guard radii
+    ["channel_aware_p_s", "channel_aware_g_min"],               # admitted links only
+    ["top_fraction_far", "channel_aware_g_min", "no_ac"],
+]
+
+
+def dedicated_sirs(cfg, scheme, real):
+    """Reference data-phase SIRs of ``scheme`` from matrices built over its own
+    links: the candidates' matrix of its estimation phase, sliced under
+    coherent fading, else a matrix over the links on air."""
+    rp = cfg.radio_params()
+    active = access.apply_scheme(scheme, real, rp)
+    if active.powers is not None and not cfg.refresh_fading_between_phases:
+        p, on = active.powers, active.on_air
+        rows = np.concatenate([on, np.arange(len(p.links), len(p.interference))])
+        return (radio.sir(p.d2d_signal[on], p.interference[rows][:, on].sum(axis=0)),
+                radio.sir(p.cell_signal, p.interference[rows, len(p.links):].sum(axis=0)))
+    p = radio.LinkPowers.build(active.active, real.pairs, real.assoc, real.fading_data, rp)
+    k = len(p.links)
+    return (radio.sir(p.d2d_signal, p.interference[:, :k].sum(axis=0)),
+            radio.sir(p.cell_signal, p.interference[:, k:].sum(axis=0)))
+
+
+class TestSharedPowers:
+    """Each realization's one received-power matrix serves every scheme of a
+    mix, and every scheme measures exactly what matrices built over its own
+    links give."""
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("topology", ["torus", "bounded"])
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_mixed_schemes_measure_as_alone(self, alpha, topology, refresh):
+        # about 200 links: column sums span more than one gathered block
+        cfg = ExperimentConfig(params=make_params(lambda_d=2e-4, lambda_m=4e-6, alpha=alpha),
+                               scheme=SchemeSpec(kind="no_ac"),
+                               window=Window(1000.0, 1000.0, topology=topology),
+                               n_realizations=3, seed=29,
+                               refresh_fading_between_phases=refresh,
+                               ccdf_points_db=(-5.0, 0.0, 5.0, 10.0),
+                               collect_sir_samples=True)
+        for index in range(cfg.n_realizations):
+            real = simkit.sample_realization(cfg, index)
+            assert len(real.pairs) * len(real.pairs) > radio.BLOCK_ELEMENTS
+            alone = {name: simkit._measure_all(cfg, [scheme], real)[0]
+                     for name, scheme in SHARED_SCHEMES.items()}
+            for name, scheme in SHARED_SCHEMES.items():
+                sir_d, sir_c = dedicated_sirs(cfg, scheme, real)
+                assert alone[name].sir_samples_d2d == tuple(sir_d.tolist()), (index, name)
+                assert alone[name].sir_samples_cell == tuple(sir_c.tolist()), (index, name)
+            for mix in MIXES:
+                got = simkit._measure_all(cfg, [SHARED_SCHEMES[name] for name in mix], real)
+                assert got == [alone[name] for name in mix], (index, mix)
+
+    @pytest.mark.parametrize("refresh, builds", [(False, 1), (True, 2)])
+    def test_one_build_per_realization(self, monkeypatch, refresh, builds):
+        calls = []
+        original = radio.d2d_power_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(radio, "d2d_power_matrix", counting)
+        cfg = tiny_config(refresh_fading_between_phases=refresh)
+        simkit.run_schemes(cfg, SHARED_SCHEMES.values())
+        assert len(calls) == builds * cfg.n_realizations
 
 
 def pooled_samples(cfg):
@@ -259,7 +348,7 @@ class TestReportCcdf:
                                scheme=SchemeSpec(kind="no_ac"), window=real.pairs.window,
                                n_realizations=1, ccdf_points_db=(9.0, 10.0, 20.0),
                                collect_sir_samples=True)
-        m = simkit._measure(cfg, cfg.scheme, real)
+        [m] = simkit._measure_all(cfg, [cfg.scheme], real)
         assert m.sir_samples_d2d == (10.0,) and m.sir_samples_cell == (100.0,)
         assert m.ccdf_above_d2d == (1, 0, 0)
         assert m.ccdf_above_cell == (1, 1, 0)
