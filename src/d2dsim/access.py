@@ -88,16 +88,13 @@ class ActiveSet:
 
     ``candidates`` are the sorted ids of the links that passed stage 1 and
     ``on_air`` the ascending positions among them of the admitted links.
-    When the rule ran the estimation phase, ``powers`` holds its received
-    powers over links that include the candidates and ``sir`` the estimated
-    SIR at each candidate, so stage 2 and the data phase slice them instead
-    of recomputing.  ``active_ids`` and ``candidate_ids`` give the same link
-    sets as frozensets.
+    When the rule ran the estimation phase, ``sir`` holds the estimated SIR
+    at each candidate, which stage 2 slices.  ``active_ids`` and
+    ``candidate_ids`` give the same link sets as frozensets.
     """
 
     candidates: np.ndarray
     on_air: np.ndarray
-    powers: radio.LinkPowers | None = field(default=None, repr=False)
     sir: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -138,11 +135,11 @@ def estimate(candidates: np.ndarray, powers: radio.LinkPowers) -> ActiveSet:
     """:func:`estimation_phase` on ``powers``, the estimation phase's received
     powers over links that include the sorted ids ``candidates``.
 
-    Each SIR rounds as in a matrix built over the candidates alone.
+    Each interference is the row-order sum over the candidates and the
+    users (see :mod:`radio`), so it has the same bits in any such matrix.
     """
-    sir = radio.sir(*powers.d2d_alone(powers.positions(candidates)))
-    return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)), powers=powers,
-                     sir=sir)
+    sir = radio.sir(*powers.d2d(powers.positions(candidates)))
+    return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)), sir=sir)
 
 
 def stage2_threshold(estimated: ActiveSet, g: float) -> ActiveSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaincinv
+from scipy.special import gammaincinv, hyp2f1
 
 from .errors import ApproximationWarning, NumericalError, ParameterError
 
@@ -101,14 +101,34 @@ def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: f
     return 2.0 * math.pi * lam * (inner + tail)
 
 
+def _keepout_integral(a: float, alpha: float) -> float:
+    """``integral_a^inf u / (1 + u**alpha) du`` in Gauss's hypergeometric function.
+
+    For ``a >= 1`` this is ``a**(2 - alpha) / (alpha - 2) * 2F1(1, 1 - 2/alpha;
+    2 - 2/alpha; -a**-alpha)``.  Below 1 it is the whole-line value
+    ``(pi/alpha) / sin(2 pi/alpha)`` less ``a**2 / 2 * 2F1(1, 2/alpha;
+    1 + 2/alpha; -a**alpha)``, the same function with an argument that can
+    neither overflow nor leave [-1, 0].
+    """
+    if a >= 1:
+        return a ** (2 - alpha) / (alpha - 2) * hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha,
+                                                       -a ** -alpha)
+    whole = math.pi / alpha / math.sin(2 * math.pi / alpha)
+    return whole - a * a / 2 * hyp2f1(1, 2 / alpha, 1 + 2 / alpha, -a ** alpha)
+
+
 def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
                      method: str = "auto") -> float:
     """Laplace transform of PPP interference with a keep-out disk of radius r_min.
 
-    For alpha = 4 the radial integral has the antiderivative
+    The exponent is ``2 pi lam * integral_r_min^inf s v / (v**alpha + s) dv``.
+    For alpha = 4 the integrand has the antiderivative
     (sqrt(s)/2) * arctan(v^2 / sqrt(s)), giving
-    exp(-pi * lam * sqrt(s) * arctan(sqrt(s) / r_min^2)); other exponents fall
-    back to adaptive quadrature.  ``method`` forces one path for cross-checks.
+    exp(-pi * lam * sqrt(s) * arctan(sqrt(s) / r_min^2)).  Other exponents
+    substitute ``v = u * s**(1/alpha)``, which leaves ``2 pi lam * s**(2/alpha)``
+    times :func:`_keepout_integral` at ``a = r_min * s**(-1/alpha)``
+    (Andrews, Baccelli and Ganti 2011; Haenggi 2012).  ``method`` forces the
+    closed form or adaptive quadrature for cross-checks.
     """
     if s < 0 or lam < 0 or r_min < 0:
         raise ParameterError("s, lambda and r_min must be nonnegative")
@@ -116,13 +136,14 @@ def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
         return 1.0
     if method not in ("auto", "closed_form", "quadrature"):
         raise ParameterError(f"unknown method {method!r}")
-    if method == "closed_form" and alpha != 4:
-        raise ParameterError("closed form is only available for alpha = 4")
-    if alpha == 4 and method != "quadrature":
+    if method == "quadrature":
+        return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha))
+    if alpha == 4:
         root_s = math.sqrt(s)
         angle = math.pi / 2 if r_min == 0 else math.atan(root_s / r_min ** 2)
         return math.exp(-math.pi * lam * root_s * angle)
-    return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha))
+    a = r_min * s ** (-1.0 / alpha)
+    return math.exp(-2.0 * math.pi * lam * s ** (2.0 / alpha) * _keepout_integral(a, alpha))
 
 
 def d2d_success_prob(beta: float, params: SystemParams) -> float:

@@ -10,10 +10,17 @@ then uplink users, columns are D2D receivers then base stations.
 place where fading gains meet the pathloss, and :meth:`LinkPowers.build`
 hands out its signals as diagonals and interference as column sums.
 
-The build runs in blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows along the
-output buffer's contiguous axis, ``n`` being that axis' length: each block's
-squared distances, pathloss and fading multiply stay in the L2 cache, where
-the whole matrix (about 2.5 MB at the reference density) does not.
+One summation rule holds everywhere: the matrix is C-ordered, and an
+interference is the full-width sum of the rows on air, taken row by row in
+ascending position order.  Each column then adds its terms in link-id order
+whatever other links the matrix covers, so a link measures the same bits in
+any matrix that holds the links on air.  Only :meth:`LinkPowers.nested`, for
+the top-fraction grid, adds its rows in rank order instead.
+
+The build runs in blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows, ``n``
+being the number of columns: each block's squared distances, pathloss and
+fading multiply stay in the L2 cache, where the whole matrix (about 2.5 MB
+at the reference density) does not.
 """
 from __future__ import annotations
 
@@ -29,24 +36,6 @@ from .spatial import CellAssociation, D2DPairSet, pairwise_distance
 # Elements in one block of the received-power build: about 216 KB per float64
 # temporary, so a block's few buffers fit a 2 MB L2 cache together.
 BLOCK_ELEMENTS = 27_000
-
-
-def _take(matrix: np.ndarray, rows, cols) -> np.ndarray:
-    """``matrix[np.ix_(rows, cols)]``, gathered rows first (about twice as fast)."""
-    return matrix[rows][:, cols]
-
-
-def _column_sums(matrix: np.ndarray, rows, cols) -> np.ndarray:
-    """``_take(matrix, rows, cols).sum(axis=0)``: each column summed pairwise,
-    as in that Fortran-ordered gather, but gathered ``BLOCK_ELEMENTS //
-    len(matrix)`` columns at a time (as rows of the transpose), so the whole
-    selection is never held at once."""
-    out = np.empty(len(cols))
-    width = max(1, BLOCK_ELEMENTS // max(1, len(matrix)))
-    for start in range(0, len(cols), width):
-        block = np.take(matrix.T[cols[start:start + width]], rows, axis=1)
-        np.sum(block, axis=1, out=out[start:start + width])
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,12 +91,12 @@ class FadingTable:
         index = self._index(links, n_cells)
         if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
             return self.gains
-        return _take(self.gains, index, index)
+        return np.take(self.gains[index], index, axis=1)
 
     def from_users(self, links: np.ndarray, n_cells: int) -> np.ndarray:
         """Gains from ``n_cells`` users to the receivers of links ``links``."""
         index = self._index(links, n_cells)
-        return _take(self.gains, index[len(links):], index[:len(links)])
+        return np.take(self.gains[index[len(links):]], links, axis=1)
 
     def _index(self, links: np.ndarray, n_cells: int) -> np.ndarray:
         """Table positions of links ``links`` then of ``n_cells`` cells."""
@@ -159,38 +148,30 @@ def received_power(sources, sinks, tx_mw: np.ndarray, window, alpha: float,
     """``tx_mw[i] * d(i, j) ** -alpha * gains[i, j]`` from each source to each sink.
 
     The package's one pathloss kernel: ``1 / (d2 * d2)`` at alpha = 4,
-    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  A
-    writeable ``gains`` buffer is overwritten and returned, keeping its
-    memory order, since column sums round in buffer order; otherwise the
-    result is a new C-ordered buffer.  Each block of rows along the
-    buffer's contiguous axis gets its distances, pathloss, transmit power
-    and gains in one go.  A Fortran-ordered buffer is filled through its
-    transpose, sinks by sources, which is bit-exact: ``|a - b| == |b - a|``.
+    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  The
+    result is C-ordered: a writeable, C-ordered ``gains`` buffer is
+    overwritten and returned, otherwise a new buffer is made.  Each block of
+    rows gets its distances, pathloss, transmit power and gains in one go.
     A zero distance in any block raises :class:`NumericalError`.
     """
-    result = gains if gains is not None and gains.flags.writeable \
-        else np.empty((len(sources), len(sinks)))
-    out, tx_rows = result, tx_mw[:, None]
-    transposed = not result.flags.c_contiguous
-    if transposed:
-        sources, sinks, out, gains, tx_rows = sinks, sources, result.T, gains.T, tx_mw[None, :]
-    height = max(1, BLOCK_ELEMENTS // max(1, out.shape[1]))
-    for start in range(0, out.shape[0], height):
+    in_place = gains is not None and gains.flags.writeable and gains.flags.c_contiguous
+    result = gains if in_place else np.empty((len(sources), len(sinks)))
+    height = max(1, BLOCK_ELEMENTS // max(1, result.shape[1]))
+    for start in range(0, result.shape[0], height):
         rows = slice(start, start + height)
         power = pairwise_distance(sources[rows], sinks, window)
         if power.size and power.min() <= 0.0:
             raise NumericalError("zero distance: a transmitter sits on a receiver")
-        tx = tx_rows if transposed else tx_rows[rows]
         if alpha == 4:
             np.multiply(power, power, out=power)
-            np.divide(tx, power, out=power)
+            np.divide(tx_mw[rows, None], power, out=power)
         else:
             np.power(power, -0.5 * alpha, out=power)
-            np.multiply(power, tx, out=power)
+            np.multiply(power, tx_mw[rows, None], out=power)
         if gains is None:
-            out[rows] = power
+            result[rows] = power
         else:
-            np.multiply(power, gains[rows], out=out[rows])
+            np.multiply(power, gains[rows], out=result[rows])
     return result
 
 
@@ -210,7 +191,8 @@ class LinkPowers:
     cells.  The own link's power (the D2D block's diagonal) and each base
     station's own-user power (the cellular block's diagonal) are moved to
     ``d2d_signal`` and ``cell_signal`` and zeroed in ``interference``, so
-    every interference is a column sum over the rows on air.
+    every interference is a column sum over the rows on air, summed row by
+    row over full-width rows (see the module docstring).
     """
 
     links: np.ndarray
@@ -238,70 +220,58 @@ class LinkPowers:
         """Positions of the sorted link ids ``links``, each one of ``self.links``."""
         return np.searchsorted(self.links, links)
 
-    def _cells(self) -> np.ndarray:
-        return np.arange(len(self.links), self.interference.shape[0])
-
-    def _on_air(self, tx) -> np.ndarray:
-        """Row positions of links ``tx`` followed by every uplink user."""
-        return np.concatenate([tx, self._cells()])
+    def _sum(self, tx) -> np.ndarray:
+        """Interference (mW) at every receiver and base station while the
+        links at the ascending positions ``tx`` (default: all) and every
+        uplink user transmit: the rows on air summed row by row, full width."""
+        if tx is None or len(tx) == len(self.links):
+            return self.interference.sum(axis=0)
+        users = np.arange(len(self.links), len(self.interference))
+        return self.interference[np.concatenate([tx, users])].sum(axis=0)
 
     def d2d(self, rx=None, tx=None):
         """Signal and interference (mW) at the receivers of positions ``rx``.
 
         Positions ``tx`` and every uplink user transmit; ``tx`` defaults to
-        ``rx`` and both default to every link.  Given positions, each
-        interference is summed pairwise over the rows on air.
+        ``rx`` and both default to every link.
         """
-        k = len(self.links)
-        if rx is None and tx is None:
-            return self.d2d_signal, self.interference[:, :k].sum(axis=0)
-        rx = np.arange(k) if rx is None else rx
-        tx = rx if tx is None else tx
-        return self.d2d_signal[rx], _column_sums(self.interference, self._on_air(tx), rx)
+        inter = self._sum(rx if tx is None else tx)
+        rx = slice(len(self.links)) if rx is None else rx
+        return self.d2d_signal[rx], inter[rx]
 
     def cellular(self, tx=None):
         """Own-user signal and interference (mW) at every base station.
 
         Every uplink user and the links at positions ``tx`` (default: all)
-        transmit.  Given positions, each interference is summed row by row
-        over the rows on air.
+        transmit.
         """
-        rows = slice(None) if tx is None else self._on_air(tx)
-        return self.cell_signal, self.interference[rows, len(self.links):].sum(axis=0)
+        return self.cell_signal, self._sum(tx)[len(self.links):]
 
-    def d2d_alone(self, at):
-        """:meth:`d2d` while only the links at positions ``at`` and the users
-        transmit, rounded as a matrix built over those links alone rounds it:
-        as stored when ``at`` is every position, pairwise (as in a gathered,
-        Fortran-ordered build) otherwise."""
-        return self.d2d() if len(at) == len(self.links) else self.d2d(at)
-
-    def cellular_alone(self, at):
-        """:meth:`cellular` while the links at positions ``at`` transmit,
-        rounded as in :meth:`d2d_alone`."""
-        if len(at) == len(self.links):
-            return self.cellular()
-        return self.cell_signal, _column_sums(self.interference, self._on_air(at), self._cells())
+    def sirs(self, at):
+        """D2D SIRs at the positions ``at`` and cellular SIRs at every base
+        station while those links and every uplink user transmit: the SIRs
+        of :meth:`d2d` and :meth:`cellular`, from one sum."""
+        inter = self._sum(at)
+        return (sir(self.d2d_signal[at], inter[at]),
+                sir(self.cell_signal, inter[len(self.links):]))
 
     def nested(self, ranked, counts):
         """Signal and interference while each prefix ``ranked[:c]`` transmits.
 
         Yields (D2D signal, D2D interference, cellular interference) per count
-        in ``counts``.  Running column sums over the ranked rows make every
-        prefix cost one row of the cumulative sum.
+        in ``counts``.  Running sums over the ranked rows, added to the users'
+        sum, make every prefix cost one row of the cumulative sum.
         """
         k = len(self.links)
-        users = self._cells()
-        cum_d2d = np.cumsum(_take(self.interference, ranked, ranked), axis=0)
-        from_users = _take(self.interference, users, ranked).sum(axis=0)
-        cum_bs = np.cumsum(self.interference[ranked, k:], axis=0)
-        _, cell_base = self.cellular(ranked[:0])
+        from_users = self._sum(ranked[:0])
+        cum = np.cumsum(self.interference[ranked], axis=0)
         for c in counts:
             if c == 0:
-                yield self.d2d_signal[:0], from_users[:0], cell_base
+                yield self.d2d_signal[:0], from_users[:0], from_users[k:]
             else:
-                yield (self.d2d_signal[ranked[:c]], cum_d2d[c - 1, :c] + from_users[:c],
-                       cell_base + cum_bs[c - 1])
+                at = ranked[:c]
+                yield (self.d2d_signal[at], cum[c - 1, at] + from_users[at],
+                       from_users[k:] + cum[c - 1, k:])
 
 
 def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation, pairs: D2DPairSet,

@@ -206,15 +206,11 @@ def _metrics(config: ExperimentConfig, real: Realization, active: ActiveSet,
     """Measure the data phase of ``active`` on ``powers``, received powers
     under the data-phase draw over links that include every link on air.
 
-    On the matrix of its own estimation phase, a scheme's SIRs round as a
-    slice of the candidates' matrix does; otherwise, as a matrix built over
-    the links on air alone.
+    Every interference is the row-order sum over the links on air and the
+    users (see :mod:`radio`), so a scheme measures the same bits whichever
+    other links ``powers`` covers.
     """
-    at = powers.positions(active.active)
-    if active.powers is powers:
-        sir_d, sir_c = radio.sir(*powers.d2d(at)), radio.sir(*powers.cellular(at))
-    else:
-        sir_d, sir_c = radio.sir(*powers.d2d_alone(at)), radio.sir(*powers.cellular_alone(at))
+    sir_d, sir_c = powers.sirs(powers.positions(active.active))
     params = config.params
     thresholds = np.power(10.0, np.asarray(config.ccdf_points_db, dtype=float) / 10.0)
     return RealizationMetrics(

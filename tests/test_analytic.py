@@ -7,7 +7,7 @@ from scipy import integrate
 
 from d2dsim import analytic, cli, planner
 from d2dsim.analytic import DerivedConstants
-from d2dsim.errors import ApproximationWarning, ParameterError
+from d2dsim.errors import ApproximationWarning, NumericalError, ParameterError
 
 from conftest import make_params
 
@@ -107,11 +107,12 @@ class TestModifiedLaplace:
                 pytest.approx(full, rel=1e-9)
 
     def test_closed_form_agrees_with_quadrature(self):
-        for s in np.logspace(7, 11, 5):
-            for r_min in np.logspace(1, 3, 5):
-                cf = analytic.modified_laplace(s, 1e-6, r_min, 4.0, method="closed_form")
-                qd = analytic.modified_laplace(s, 1e-6, r_min, 4.0, method="quadrature")
-                assert cf == pytest.approx(qd, rel=1e-9)
+        for alpha in (4.0, 2.5, 3.5, 6.0):
+            for s in np.logspace(7, 11, 5) ** (alpha / 4):
+                for r_min in np.logspace(1, 3, 5):
+                    cf = analytic.modified_laplace(s, 1e-6, r_min, alpha, method="closed_form")
+                    qd = analytic.modified_laplace(s, 1e-6, r_min, alpha, method="quadrature")
+                    assert cf == pytest.approx(qd, rel=1e-9), (alpha, s, r_min)
 
     def test_reference_value(self):
         # alpha=4 antiderivative at s=1e10, lam=1e-6, r_min=500:
@@ -130,9 +131,36 @@ class TestModifiedLaplace:
         with pytest.raises(ParameterError):
             analytic.modified_laplace(1.0, 1e-6, 0.0, 4.0, method="magic")
 
-    def test_closed_form_requires_alpha_four(self):
-        with pytest.raises(ParameterError):
-            analytic.modified_laplace(1.0, 1e-6, 0.0, 3.0, method="closed_form")
+    # (s, lam, r_min, alpha) -> the transform, computed once with mpmath at 50
+    # digits by quadrature of the exponent's radial integral (which matched the
+    # 2F1 form to 1e-26 or better); a spans both sides of 1
+    MPMATH_REFERENCE = {
+        (5.6e8, 1e-6, 0.0, 3.5): 0.56152241021905886,
+        (5.6e8, 1e-6, 100.0, 3.5): 0.57932626118634999,     # a = 0.317
+        (5.6e8, 1e-6, 1000.0, 3.5): 0.92886837762874896,    # a = 3.17
+        (1e15, 1e-6, 0.0, 6.0): 0.68394262222263663,
+        (1e15, 1e-6, 200.0, 6.0): 0.77401984013048808,      # a = 0.632
+        (1e15, 1e-6, 2000.0, 6.0): 0.99990183066208648,     # a = 6.32
+        (3e5, 1e-5, 50.0, 2.5): 0.042493848571109318,
+        (1e20, 1e-6, 300.0, 8.0): 0.9103758036551132,       # a = 0.949
+        (2e4, 1e-4, 10.0, 3.0): 0.58919902972784853,
+        (1e9, 6e-5, 229.0, 5.2): 0.99669705921278599,       # a = 4.26
+    }
+
+    @pytest.mark.parametrize("method", ["auto", "closed_form"])
+    def test_closed_form_at_every_alpha_matches_mpmath(self, method):
+        for args, want in self.MPMATH_REFERENCE.items():
+            assert analytic.modified_laplace(*args, method=method) == \
+                pytest.approx(want, rel=1e-13), args
+
+    def test_closed_form_where_the_quadrature_fails(self):
+        # a node of `analyze` at alpha = 6, where the quadrature reports
+        # divergence; mpmath gives an exponent of 1.19e-17, so the transform
+        # rounds to 1
+        args = (139.29400045614503, 1e-6, 2069.6891405113665, 6.0)
+        with pytest.raises(NumericalError, match="divergent"):
+            analytic.modified_laplace(*args, method="quadrature")
+        assert analytic.modified_laplace(*args) == 1.0
 
 
 class TestDistancePdfs:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -288,6 +289,18 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, table", [("analyze", "analyze.json"),
+                                               ("optimize", "plan.json")])
+def test_alpha_six_exits_zero(tmp_path, subcommand, table):
+    # the keep-out transform's closed form covers every exponent; the quadrature
+    # it replaced reported divergence here and ended with exit 3
+    path = write_config(tmp_path, TABLE_CONFIG + "alpha = 6\n")
+    out = tmp_path / "out"
+    assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+    values = json.loads((out / table).read_text())
+    assert all(math.isfinite(v) for v in values.values() if isinstance(v, float))
 
 
 @pytest.mark.parametrize("subcommand", ["analyze", "optimize"])

@@ -190,3 +190,47 @@ class TestSirCellular:
         params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
         with pytest.raises(NumericalError):
             radio.cellular_sir_values([0], assoc, pairs, fading, params)
+
+
+def row_loop_sum(matrix, rows):
+    """The rows ``rows`` of ``matrix`` added one at a time, in order."""
+    total = np.zeros(matrix.shape[1])
+    for row in rows:
+        total = total + matrix[row]
+    return total
+
+
+class TestOneSummationRule:
+    """Every interference is the sum of the rows on air, added row by row in
+    position order: the links on air, then every uplink user."""
+
+    @pytest.mark.parametrize("n_links, n_cells, first", [(30, 1, 0), (40, 4, 9)],
+                             ids=["one BS", "gathered"])
+    def test_interference_is_a_row_loop_sum(self, window, n_links, n_cells, first):
+        rng = seeded(9)
+        tx = PointSet(rng.uniform(0.0, 3000.0, size=(n_links, 2)), window)
+        pairs = spatial.place_d2d_pairs(tx, 50.0, rng)
+        bs = PointSet(rng.uniform(0.0, 3000.0, size=(n_cells, 2)), window)
+        assoc = spatial.place_uplink_users(bs, rng)
+        fading = radio.draw_fading(n_links, n_cells, rng)
+        # a gathered build leaves out the table's first links
+        links = np.arange(first, n_links)
+        powers = radio.LinkPowers.build(links, pairs, assoc, fading,
+                                        RadioParams(alpha=3.5, p_c_mw=10.0, p_d_mw=0.1))
+        k = len(links)
+        assert len(powers.interference) == k + n_cells >= 17
+        users = list(range(k, k + n_cells))
+        on_air = np.arange(0, k, 2)
+        rx = np.arange(1, k, 3)
+        every = row_loop_sum(powers.interference, range(k + n_cells))
+        some = row_loop_sum(powers.interference, [*on_air, *users])
+        assert np.array_equal(powers.d2d()[1], every[:k])
+        assert np.array_equal(powers.cellular()[1], every[k:])
+        assert np.array_equal(powers.d2d(on_air)[1], some[on_air])
+        assert np.array_equal(powers.d2d(rx, on_air)[1], some[rx])
+        assert np.array_equal(powers.cellular(on_air)[1], some[k:])
+        assert np.array_equal(powers.cellular(on_air[:0])[1],
+                              row_loop_sum(powers.interference, users)[k:])
+        sir_d, sir_c = powers.sirs(on_air)
+        assert np.array_equal(sir_d, radio.sir(powers.d2d_signal[on_air], some[on_air]))
+        assert np.array_equal(sir_c, radio.sir(powers.cell_signal, some[k:]))

@@ -213,20 +213,17 @@ MIXES = [   # each mix's shared matrix covers a different union of links
 
 
 def dedicated_sirs(cfg, scheme, real):
-    """Reference data-phase SIRs of ``scheme`` from matrices built over its own
-    links: the candidates' matrix of its estimation phase, sliced under
-    coherent fading, else a matrix over the links on air."""
+    """Reference data-phase SIRs of ``scheme``: a matrix built under the
+    data-phase draw over its own links on air, each interference summed by
+    an explicit loop over the rows (the links on air, then the users)."""
     rp = cfg.radio_params()
     active = access.apply_scheme(scheme, real, rp)
-    if active.powers is not None and not cfg.refresh_fading_between_phases:
-        p, on = active.powers, active.on_air
-        rows = np.concatenate([on, np.arange(len(p.links), len(p.interference))])
-        return (radio.sir(p.d2d_signal[on], p.interference[rows][:, on].sum(axis=0)),
-                radio.sir(p.cell_signal, p.interference[rows, len(p.links):].sum(axis=0)))
     p = radio.LinkPowers.build(active.active, real.pairs, real.assoc, real.fading_data, rp)
+    total = np.zeros(p.interference.shape[1])
+    for row in p.interference:
+        total = total + row
     k = len(p.links)
-    return (radio.sir(p.d2d_signal, p.interference[:, :k].sum(axis=0)),
-            radio.sir(p.cell_signal, p.interference[:, k:].sum(axis=0)))
+    return radio.sir(p.d2d_signal, total[:k]), radio.sir(p.cell_signal, total[k:])
 
 
 class TestSharedPowers:
@@ -238,7 +235,7 @@ class TestSharedPowers:
     @pytest.mark.parametrize("topology", ["torus", "bounded"])
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     def test_mixed_schemes_measure_as_alone(self, alpha, topology, refresh):
-        # about 200 links: column sums span more than one gathered block
+        # about 200 links: the build spans more than one block of rows
         cfg = ExperimentConfig(params=make_params(lambda_d=2e-4, lambda_m=4e-6, alpha=alpha),
                                scheme=SchemeSpec(kind="no_ac"),
                                window=Window(1000.0, 1000.0, topology=topology),
