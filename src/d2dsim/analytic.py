@@ -8,15 +8,40 @@ between the activation SIR threshold and the access probability.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
+from types import ModuleType
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaincinv, hyp2f1
 
 from .errors import ApproximationWarning, NumericalError, ParameterError
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """Module ``name``, bound now and executed on its first attribute access.
+
+    This is a module-level ``lazy import`` (PEP 810): a process that never
+    reads an attribute never runs the module.  A module already in
+    ``sys.modules`` is returned as is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# SciPy serves only the analytic side; the Monte Carlo never loads it
+integrate = _lazy_module("scipy.integrate")
+special = _lazy_module("scipy.special")
 
 
 @dataclass(frozen=True)
@@ -111,10 +136,10 @@ def _keepout_integral(a: float, alpha: float) -> float:
     neither overflow nor leave [-1, 0].
     """
     if a >= 1:
-        return a ** (2 - alpha) / (alpha - 2) * hyp2f1(1, 1 - 2 / alpha, 2 - 2 / alpha,
-                                                       -a ** -alpha)
+        return a ** (2 - alpha) / (alpha - 2) * special.hyp2f1(
+            1, 1 - 2 / alpha, 2 - 2 / alpha, -a ** -alpha)
     whole = math.pi / alpha / math.sin(2 * math.pi / alpha)
-    return whole - a * a / 2 * hyp2f1(1, 2 / alpha, 1 + 2 / alpha, -a ** alpha)
+    return whole - a * a / 2 * special.hyp2f1(1, 2 / alpha, 1 + 2 / alpha, -a ** alpha)
 
 
 def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
@@ -196,7 +221,7 @@ def _link_distance_quantile(q: float, lambda_m: float) -> float:
 
 def _dmin_quantile(q: float, lambda_m: float) -> float:
     # 3.5*pi*lam*r^2 is Gamma(3.5, 1)-distributed
-    return math.sqrt(gammaincinv(3.5, q) / (3.5 * math.pi * lambda_m))
+    return math.sqrt(special.gammaincinv(3.5, q) / (3.5 * math.pi * lambda_m))
 
 
 NEAREST_LAW = "nearest"      # keep-out radius ~ Rayleigh nearest-BS-distance law

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from scipy.special import lambertw
-
 from . import analytic, simkit
-from .analytic import DerivedConstants, SystemParams
+from .analytic import DerivedConstants, SystemParams, special
 from .errors import InfeasibleError, ParameterError
 
 _INV_E = math.exp(-1.0)
@@ -33,7 +31,7 @@ def lambert_w0(x: float) -> float:
         if x > -_INV_E - 1e-12:
             return -1.0
         raise ParameterError(f"lambert_w0 domain is [-1/e, inf), got {x}")
-    return float(lambertw(x).real)
+    return float(special.lambertw(x).real)
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,16 @@ class FadingTable:
 
         Zero-copy when that is the whole table in stored order.
         """
+        index = self.index(links, n_cells)
+        return self.gains if index is None else np.take(self.gains[index], index, axis=1)
+
+    def index(self, links: np.ndarray, n_cells: int) -> np.ndarray | None:
+        """Table positions of links ``links`` then of ``n_cells`` cells, or
+        None when they are the whole table in stored order."""
         index = self._index(links, n_cells)
         if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
-            return self.gains
-        return np.take(self.gains[index], index, axis=1)
+            return None
+        return index
 
     def from_users(self, links: np.ndarray, n_cells: int) -> np.ndarray:
         """Gains from ``n_cells`` users to the receivers of links ``links``."""
@@ -121,15 +127,17 @@ def link_ids(ids) -> np.ndarray:
 
 def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
                      assoc: CellAssociation | None = None,
-                     gains: np.ndarray | None = None) -> np.ndarray:
+                     gains: np.ndarray | None = None,
+                     index: np.ndarray | None = None) -> np.ndarray:
     """Received power (mW) from every transmitter at every receiver.
 
     Row k is the transmitter of link ``links[k]`` and column k its receiver,
     so the diagonal carries each link's own signal power.  With ``assoc``
     the uplink users follow as rows and the base stations as columns, so
     user ``u`` and base station ``u`` share an index.  ``gains``, laid out
-    the same way, multiplies in the fading; without it the power is
-    pathloss only.  See :func:`received_power` for the buffer it returns.
+    the same way or gathered through ``index``, multiplies in the fading;
+    without it the power is pathloss only.  See :func:`received_power` for
+    the buffer it returns.
     """
     links = np.asarray(links, dtype=np.intp)
     sources = pairs.transmitters.xy[links]
@@ -140,22 +148,22 @@ def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
         sinks = np.concatenate([sinks, assoc.bs.xy])
     tx_mw = np.full(len(sources), params.p_c_mw, dtype=float)
     tx_mw[:len(links)] = params.p_d_mw
-    return received_power(sources, sinks, tx_mw, pairs.window, params.alpha, gains)
+    return received_power(sources, sinks, tx_mw, pairs.window, params.alpha, gains, index)
 
 
 def received_power(sources, sinks, tx_mw: np.ndarray, window, alpha: float,
-                   gains: np.ndarray | None = None) -> np.ndarray:
+                   gains: np.ndarray | None = None,
+                   index: np.ndarray | None = None) -> np.ndarray:
     """``tx_mw[i] * d(i, j) ** -alpha * gains[i, j]`` from each source to each sink.
 
     The package's one pathloss kernel: ``1 / (d2 * d2)`` at alpha = 4,
-    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  The
-    result is C-ordered: a writeable, C-ordered ``gains`` buffer is
-    overwritten and returned, otherwise a new buffer is made.  Each block of
-    rows gets its distances, pathloss, transmit power and gains in one go.
-    A zero distance in any block raises :class:`NumericalError`.
+    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  With
+    ``index``, the gains are ``gains[index][:, index]``, gathered one block
+    at a time.  The result is a new C-ordered buffer.  Each block of rows
+    gets its distances, pathloss, transmit power and gains in one go.  A
+    zero distance in any block raises :class:`NumericalError`.
     """
-    in_place = gains is not None and gains.flags.writeable and gains.flags.c_contiguous
-    result = gains if in_place else np.empty((len(sources), len(sinks)))
+    result = np.empty((len(sources), len(sinks)))
     height = max(1, BLOCK_ELEMENTS // max(1, result.shape[1]))
     for start in range(0, result.shape[0], height):
         rows = slice(start, start + height)
@@ -168,10 +176,16 @@ def received_power(sources, sinks, tx_mw: np.ndarray, window, alpha: float,
         else:
             np.power(power, -0.5 * alpha, out=power)
             np.multiply(power, tx_mw[rows, None], out=power)
+        block = result[rows]
         if gains is None:
-            result[rows] = power
+            block[...] = power
+        elif index is None:
+            np.multiply(power, gains[rows], out=block)
         else:
-            np.multiply(power, gains[rows], out=result[rows])
+            # gather the block's gains into the output, never the whole table;
+            # "clip" lets take write there unbuffered (the index is checked)
+            np.take(np.take(gains, index[rows], axis=0), index, axis=1, out=block, mode="clip")
+            np.multiply(power, block, out=block)
     return result
 
 
@@ -206,7 +220,8 @@ class LinkPowers:
         """Compute the matrix for sorted link ids ``links`` under ``fading``."""
         links = np.asarray(links, dtype=np.intp)
         n_cells = 0 if assoc is None else len(assoc)
-        power = d2d_power_matrix(links, pairs, params, assoc, fading.for_links(links, n_cells))
+        power = d2d_power_matrix(links, pairs, params, assoc, fading.gains,
+                                 fading.index(links, n_cells))
         own = np.arange(len(links))
         cells = np.arange(len(links), power.shape[0])
         d2d_signal = power[own, own]

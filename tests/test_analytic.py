@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +30,31 @@ def two_stage_branches(delta: float, p_s: float, params) -> tuple[float, float]:
     ratio = math.exp(-c.xi * params.beta ** (2.0 / params.alpha)
                      * (p_s * params.lambda_d + c.kappa * params.lambda_m)) / p_s
     return base * 1.0, base * ratio
+
+
+class TestLazyModule:
+    def test_binds_now_and_executes_on_first_attribute_access(self, tmp_path, monkeypatch):
+        (tmp_path / "d2dsim_lazy_probe.py").write_text(
+            "import sys\nsys.d2dsim_lazy_probe_ran = True\nVALUE = 7\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            module = analytic._lazy_module("d2dsim_lazy_probe")
+            assert sys.modules["d2dsim_lazy_probe"] is module
+            assert not hasattr(sys, "d2dsim_lazy_probe_ran")
+            assert module.VALUE == 7
+            assert sys.d2dsim_lazy_probe_ran
+        finally:
+            sys.modules.pop("d2dsim_lazy_probe", None)
+            vars(sys).pop("d2dsim_lazy_probe_ran", None)
+
+    def test_a_loaded_module_is_returned_as_is(self):
+        assert analytic._lazy_module("math") is math
+
+    def test_a_missing_module_is_named(self):
+        with pytest.raises(ModuleNotFoundError, match="d2dsim_no_such_module") as caught:
+            analytic._lazy_module("d2dsim_no_such_module")
+        assert caught.value.name == "d2dsim_no_such_module"
+        assert "d2dsim_no_such_module" not in sys.modules
 
 
 class TestSincNorm:

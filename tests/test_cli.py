@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +323,45 @@ def test_undrawable_poisson_mean_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "intensity 1e+300" in err and "9000000.0 m^2" in err and err.count("\n") == 1
+
+
+# compiled SciPy extensions that only the analytic side needs
+SCIPY_EXTENSIONS = ("scipy.special._ufuncs", "scipy.integrate._quadpack")
+
+
+def run_fresh(tmp_path, *argvs) -> list[str]:
+    """Run ``cli.main`` on each argv in one new interpreter; the SciPy
+    extensions loaded afterwards."""
+    code = ("import json, sys\n"
+            "from d2dsim import cli\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"print(json.dumps([m for m in {SCIPY_EXTENSIONS!r} if m in sys.modules]))\n")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestFreshInterpreter:
+    def test_monte_carlo_never_loads_scipy(self, tmp_path):
+        body = TABLE_CONFIG + ("n_realizations = 2\nwindow_m = 1200\nlambda_m = 4e-6\n"
+                               "scheme.kind = proposed_threshold\nscheme.delta = 229\n"
+                               "scheme.g_db = -0.59\n")
+        path = str(write_config(tmp_path, body))
+        loaded = run_fresh(tmp_path, ["simulate", "--config", path, "--out", "sim"],
+                           ["sweep", "--config", path, "--out", "sweep",
+                            "--axis", "delta", "--values", "50,150"])
+        assert loaded == []
+
+    def test_analyze_loads_scipy_and_matches_an_in_process_run(self, tmp_path):
+        path = str(write_config(tmp_path, TABLE_CONFIG))
+        loaded = run_fresh(tmp_path, ["analyze", "--config", path, "--out", "fresh"])
+        assert loaded == list(SCIPY_EXTENSIONS)
+        out = tmp_path / "here"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        assert (tmp_path / "fresh" / "analyze.json").read_bytes() == \
+            (out / "analyze.json").read_bytes()

@@ -60,3 +60,18 @@ def test_the_monte_carlo_knows_nothing_of_plans():
     for name in ("spatial", "radio", "access", "simkit", "analytic"):
         imported = {target for _, target in _intra_package_imports(_parse(PACKAGE / f"{name}.py"))}
         assert not imported & {"planner", "cli"}, f"{name} imports {imported & {'planner', 'cli'}}"
+
+
+def test_scipy_is_named_only_through_analytic_lazy_bindings():
+    # analytic binds scipy.integrate and scipy.special lazily, so a Monte Carlo
+    # run never executes SciPy; an import statement would load it eagerly
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            eager = [name for name in names if name.split(".")[0] == "scipy"]
+            assert eager == [], f"{path.name}:{node.lineno} imports {eager}"
