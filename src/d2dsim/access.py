@@ -138,7 +138,7 @@ def estimate(candidates: np.ndarray, powers: radio.LinkPowers) -> ActiveSet:
     Each interference is the row-order sum over the candidates and the
     users (see :mod:`radio`), so it has the same bits in any such matrix.
     """
-    sir = radio.sir(*powers.d2d(powers.positions(candidates)))
+    sir = powers.sirs(powers.positions(candidates))[0]
     return ActiveSet(candidates=candidates, on_air=np.arange(len(candidates)), sir=sir)
 
 

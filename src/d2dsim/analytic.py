@@ -143,7 +143,7 @@ def _keepout_integral(a: float, alpha: float) -> float:
 
 
 def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
-                     method: str = "auto") -> float:
+                     method: str = "closed_form") -> float:
     """Laplace transform of PPP interference with a keep-out disk of radius r_min.
 
     The exponent is ``2 pi lam * integral_r_min^inf s v / (v**alpha + s) dv``.
@@ -152,15 +152,15 @@ def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
     exp(-pi * lam * sqrt(s) * arctan(sqrt(s) / r_min^2)).  Other exponents
     substitute ``v = u * s**(1/alpha)``, which leaves ``2 pi lam * s**(2/alpha)``
     times :func:`_keepout_integral` at ``a = r_min * s**(-1/alpha)``
-    (Andrews, Baccelli and Ganti 2011; Haenggi 2012).  ``method`` forces the
-    closed form or adaptive quadrature for cross-checks.
+    (Andrews, Baccelli and Ganti 2011; Haenggi 2012).  ``method="quadrature"``
+    integrates adaptively instead, for cross-checks.
     """
+    if method not in ("closed_form", "quadrature"):
+        raise ParameterError(f"unknown method {method!r}")
     if s < 0 or lam < 0 or r_min < 0:
         raise ParameterError("s, lambda and r_min must be nonnegative")
     if s == 0 or lam == 0:
         return 1.0
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ParameterError(f"unknown method {method!r}")
     if method == "quadrature":
         return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha))
     if alpha == 4:

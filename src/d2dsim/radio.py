@@ -14,8 +14,8 @@ One summation rule holds everywhere: the matrix is C-ordered, and an
 interference is the full-width sum of the rows on air, taken row by row in
 ascending position order.  Each column then adds its terms in link-id order
 whatever other links the matrix covers, so a link measures the same bits in
-any matrix that holds the links on air.  Only :meth:`LinkPowers.nested`, for
-the top-fraction grid, adds its rows in rank order instead.
+any matrix that holds the links on air.  Every SIR the simulator measures is
+read from those sums by :meth:`LinkPowers.sirs`.
 
 The build runs in blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows, ``n``
 being the number of columns: each block's squared distances, pathloss and
@@ -82,35 +82,17 @@ class FadingTable:
             gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
 
-    def for_links(self, links: np.ndarray, n_cells: int) -> np.ndarray:
-        """Gains from links ``links`` then ``n_cells`` users to the same links'
-        receivers then their BSs.
-
-        Zero-copy when that is the whole table in stored order.
-        """
-        index = self.index(links, n_cells)
-        return self.gains if index is None else np.take(self.gains[index], index, axis=1)
-
     def index(self, links: np.ndarray, n_cells: int) -> np.ndarray | None:
         """Table positions of links ``links`` then of ``n_cells`` cells, or
         None when they are the whole table in stored order."""
-        index = self._index(links, n_cells)
-        if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
-            return None
-        return index
-
-    def from_users(self, links: np.ndarray, n_cells: int) -> np.ndarray:
-        """Gains from ``n_cells`` users to the receivers of links ``links``."""
-        index = self._index(links, n_cells)
-        return np.take(self.gains[index[len(links):]], links, axis=1)
-
-    def _index(self, links: np.ndarray, n_cells: int) -> np.ndarray:
-        """Table positions of links ``links`` then of ``n_cells`` cells."""
         if len(links) and (links.min() < 0 or links.max() >= self.n_links):
             raise ParameterError("the fading table has no gains for some link")
         if n_cells > len(self.gains) - self.n_links:
             raise ParameterError("the fading table has no gains for some cell")
-        return np.concatenate([links, np.arange(self.n_links, self.n_links + n_cells)])
+        index = np.concatenate([links, np.arange(self.n_links, self.n_links + n_cells)])
+        if index.size == len(self.gains) and np.array_equal(index, np.arange(index.size)):
+            return None
+        return index
 
 
 def draw_fading(n_links: int, n_cells: int, rng: np.random.Generator) -> FadingTable:
@@ -244,59 +226,22 @@ class LinkPowers:
         users = np.arange(len(self.links), len(self.interference))
         return self.interference[np.concatenate([tx, users])].sum(axis=0)
 
-    def d2d(self, rx=None, tx=None):
-        """Signal and interference (mW) at the receivers of positions ``rx``.
-
-        Positions ``tx`` and every uplink user transmit; ``tx`` defaults to
-        ``rx`` and both default to every link.
-        """
-        inter = self._sum(rx if tx is None else tx)
-        rx = slice(len(self.links)) if rx is None else rx
-        return self.d2d_signal[rx], inter[rx]
-
-    def cellular(self, tx=None):
-        """Own-user signal and interference (mW) at every base station.
-
-        Every uplink user and the links at positions ``tx`` (default: all)
-        transmit.
-        """
-        return self.cell_signal, self._sum(tx)[len(self.links):]
-
     def sirs(self, at):
-        """D2D SIRs at the positions ``at`` and cellular SIRs at every base
-        station while those links and every uplink user transmit: the SIRs
-        of :meth:`d2d` and :meth:`cellular`, from one sum."""
+        """D2D SIRs at the ascending positions ``at`` and cellular SIRs at
+        every base station while those links and every uplink user transmit,
+        from one sum."""
         inter = self._sum(at)
         return (sir(self.d2d_signal[at], inter[at]),
                 sir(self.cell_signal, inter[len(self.links):]))
-
-    def nested(self, ranked, counts):
-        """Signal and interference while each prefix ``ranked[:c]`` transmits.
-
-        Yields (D2D signal, D2D interference, cellular interference) per count
-        in ``counts``.  Running sums over the ranked rows, added to the users'
-        sum, make every prefix cost one row of the cumulative sum.
-        """
-        k = len(self.links)
-        from_users = self._sum(ranked[:0])
-        cum = np.cumsum(self.interference[ranked], axis=0)
-        for c in counts:
-            if c == 0:
-                yield self.d2d_signal[:0], from_users[:0], from_users[k:]
-            else:
-                at = ranked[:c]
-                yield (self.d2d_signal[at], cum[c - 1, at] + from_users[at],
-                       from_users[k:] + cum[c - 1, k:])
 
 
 def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation, pairs: D2DPairSet,
                                  fading: FadingTable, params: RadioParams) -> np.ndarray:
     """Received power (mW) at the receivers of links ``rx_indices`` (columns)
     from each uplink user (rows)."""
-    rx = np.asarray(rx_indices, dtype=np.intp)
-    return received_power(assoc.users.xy, pairs.receivers.xy[rx],
-                          np.full(len(assoc), params.p_c_mw, dtype=float), pairs.window,
-                          params.alpha, fading.from_users(rx, len(assoc)))
+    powers = LinkPowers.build(rx_indices, pairs, assoc, fading, params)
+    k = len(powers.links)
+    return powers.interference[k:, :k]
 
 
 def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssociation,
@@ -309,10 +254,9 @@ def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssocia
     """
     tx = link_ids(transmitting)
     rx = link_ids(measured)
-    links = np.union1d(tx, rx)
-    powers = LinkPowers.build(links, pairs, assoc, fading, params)
-    signal, inter = powers.d2d(np.searchsorted(links, rx), np.searchsorted(links, tx))
-    return rx, signal, inter
+    powers = LinkPowers.build(np.union1d(tx, rx), pairs, assoc, fading, params)
+    at = powers.positions(rx)
+    return rx, powers.d2d_signal[at], powers._sum(powers.positions(tx))[at]
 
 
 def cellular_sir_values(active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
@@ -323,5 +267,4 @@ def cellular_sir_values(active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
     D2D transmitter interfere.
     """
     powers = LinkPowers.build(link_ids(active_d2d), pairs, assoc, fading, params)
-    signal, inter = powers.cellular()
-    return np.arange(len(assoc)), signal, inter
+    return np.arange(len(assoc)), powers.cell_signal, powers._sum(None)[len(powers.links):]

@@ -387,14 +387,17 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
 
     Shares each sampled realization across the whole grid (common random
     numbers): one received-power matrix over every link serves all guard
-    radii, and since admitted sets under the top-fraction rule are nested in
-    p_s, one estimated-SIR sort plus prefix sums yields every p_s at once.
+    radii, each radius ranks its candidates once, and each p_s measures its
+    admitted prefix of that ranking as :func:`run_experiment` would.
     Returns {(delta, p_s): {"ase", "coverage", "n"}}, the means over realizations.
     """
     deltas = [float(x) for x in deltas]
     ps_values = [float(x) for x in ps_values]
     if not all(0 <= ps <= 1 for ps in ps_values):
         raise ParameterError("p_s values must lie in [0, 1]")
+    for name, values in (("deltas", deltas), ("ps_values", ps_values)):
+        if len(set(values)) != len(values):
+            raise ParameterError(f"{name} must not repeat a value, got {values}")
     config = ExperimentConfig(params=params, scheme=SchemeSpec(kind=access.NO_AC),
                               window=window or Window(3000.0, 3000.0),
                               n_realizations=n_realizations, seed=seed)
@@ -406,17 +409,17 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
     cov = {key: [] for key in ase}
     for index in range(n_realizations):
         real = sample_realization(config, index)
+        # over every link, a link's position is its id
         powers = radio.LinkPowers.build(np.arange(len(real.pairs)), real.pairs, real.assoc,
                                         real.fading_est, rp)
         for delta in deltas:
             cand = access.stage1_guard_zone(real.pairs, real.bs, delta)
-            ranked = cand[access.rank_by_sir(radio.sir(*powers.d2d(cand)))]
-            counts = [access.admitted_count(ps, len(cand)) for ps in ps_values]
-            for ps, (sig, inter, inter_c) in zip(ps_values, powers.nested(ranked, counts)):
-                n_success = int((radio.sir(sig, inter) > params.beta).sum())
-                covered = radio.sir(powers.cell_signal, inter_c) > params.gamma
-                ase[(delta, ps)].append(n_success * log2_beta / area)
-                cov[(delta, ps)].append(float(covered.mean()))
+            ranked = access.rank_by_sir(access.estimate(cand, powers).sir)
+            for ps in ps_values:
+                admitted = np.sort(ranked[:access.admitted_count(ps, len(cand))])
+                sir_d, sir_c = powers.sirs(cand[admitted])
+                ase[(delta, ps)].append(int((sir_d > params.beta).sum()) * log2_beta / area)
+                cov[(delta, ps)].append(float((sir_c > params.gamma).mean()))
 
     return {key: {"ase": float(np.mean(ase[key])), "coverage": float(np.mean(cov[key])),
                   "n": len(ase[key])}

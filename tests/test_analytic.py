@@ -154,8 +154,12 @@ class TestModifiedLaplace:
         assert analytic.modified_laplace(1e9, 1e-6, 400.0, 4.0) > base
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            analytic.modified_laplace(1.0, 1e-6, 0.0, 4.0, method="magic")
+        # "auto" went when the closed form came to cover every alpha; s = 0
+        # has a trivial transform but is still no excuse for a bad method
+        for method in ("magic", "auto"):
+            for s in (1.0, 0.0):
+                with pytest.raises(ParameterError, match=f"unknown method '{method}'"):
+                    analytic.modified_laplace(s, 1e-6, 0.0, 4.0, method=method)
 
     # (s, lam, r_min, alpha) -> the transform, computed once with mpmath at 50
     # digits by quadrature of the exponent's radial integral (which matched the
@@ -173,11 +177,9 @@ class TestModifiedLaplace:
         (1e9, 6e-5, 229.0, 5.2): 0.99669705921278599,       # a = 4.26
     }
 
-    @pytest.mark.parametrize("method", ["auto", "closed_form"])
-    def test_closed_form_at_every_alpha_matches_mpmath(self, method):
+    def test_closed_form_at_every_alpha_matches_mpmath(self):
         for args, want in self.MPMATH_REFERENCE.items():
-            assert analytic.modified_laplace(*args, method=method) == \
-                pytest.approx(want, rel=1e-13), args
+            assert analytic.modified_laplace(*args) == pytest.approx(want, rel=1e-13), args
 
     def test_closed_form_where_the_quadrature_fails(self):
         # a node of `analyze` at alpha = 6, where the quadrature reports

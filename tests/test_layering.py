@@ -1,10 +1,13 @@
-"""The package's modules import one another in one direction only."""
+"""The package's modules import one another in one direction only, and every
+function the benchmark traces is still bound where the tracer looks."""
 import ast
+import importlib
 from pathlib import Path
 
 import d2dsim
 
 PACKAGE = Path(d2dsim.__file__).parent
+TRACE_LIST = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 # each module may import only the modules listed before it
 LAYERS = ("errors", "spatial", "analytic", "radio", "access", "simkit", "planner", "cli")
@@ -75,3 +78,15 @@ def test_scipy_is_named_only_through_analytic_lazy_bindings():
                 continue
             eager = [name for name in names if name.split(".")[0] == "scipy"]
             assert eager == [], f"{path.name}:{node.lineno} imports {eager}"
+
+
+def test_every_traced_name_resolves_to_a_function():
+    # the tracer wraps each name with getattr, so a missing one fails every
+    # traced benchmark run; the file is compiled from its text, so no bytecode
+    # cache is written beside it
+    layers = {}
+    exec(compile(TRACE_LIST.read_text(encoding="utf-8"), str(TRACE_LIST), "exec"), layers)
+    assert layers["TARGETS"]
+    for name in layers["TARGETS"]:
+        module, _, function = name.partition(".")
+        assert callable(getattr(importlib.import_module(f"d2dsim.{module}"), function, None)), name

@@ -66,21 +66,20 @@ class TestDrawFading:
         target = math.exp(-1.0)
         assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / table.gains.size)
 
-    def test_for_links_gathers_links_then_cells(self):
+    def test_index_gives_links_then_cells(self):
         table = radio.draw_fading(3, 2, seeded(3))
         assert table.gains.shape == (5, 5)
         links = np.array([2, 0])
-        expected = table.gains[np.ix_([2, 0, 3, 4], [2, 0, 3, 4])]
-        assert np.array_equal(table.for_links(links, 2), expected)
-        assert np.array_equal(table.for_links(links, 1), table.gains[np.ix_([2, 0, 3], [2, 0, 3])])
-        assert table.for_links(np.arange(3), 2) is table.gains
-        assert table.for_links(np.arange(3), 1) is not table.gains
+        assert table.index(links, 2).tolist() == [2, 0, 3, 4]
+        assert table.index(links, 1).tolist() == [2, 0, 3]
+        assert table.index(np.arange(3), 2) is None
+        assert table.index(np.arange(3), 1).tolist() == [0, 1, 2, 3]
         with pytest.raises(ParameterError):
-            table.for_links(np.array([3]), 2)
+            table.index(np.array([3]), 2)
         with pytest.raises(ParameterError):
-            table.for_links(np.array([-1]), 2)
+            table.index(np.array([-1]), 2)
         with pytest.raises(ParameterError):
-            table.for_links(links, 3)
+            table.index(links, 3)
 
     def test_tables_are_read_only_and_never_alias_a_caller_array(self):
         assert not radio.draw_fading(1, 0, seeded(8)).gains.flags.writeable
@@ -215,8 +214,8 @@ class TestOneSummationRule:
         fading = radio.draw_fading(n_links, n_cells, rng)
         # a gathered build leaves out the table's first links
         links = np.arange(first, n_links)
-        powers = radio.LinkPowers.build(links, pairs, assoc, fading,
-                                        RadioParams(alpha=3.5, p_c_mw=10.0, p_d_mw=0.1))
+        params = RadioParams(alpha=3.5, p_c_mw=10.0, p_d_mw=0.1)
+        powers = radio.LinkPowers.build(links, pairs, assoc, fading, params)
         k = len(links)
         assert len(powers.interference) == k + n_cells >= 17
         users = list(range(k, k + n_cells))
@@ -224,13 +223,19 @@ class TestOneSummationRule:
         rx = np.arange(1, k, 3)
         every = row_loop_sum(powers.interference, range(k + n_cells))
         some = row_loop_sum(powers.interference, [*on_air, *users])
-        assert np.array_equal(powers.d2d()[1], every[:k])
-        assert np.array_equal(powers.cellular()[1], every[k:])
-        assert np.array_equal(powers.d2d(on_air)[1], some[on_air])
-        assert np.array_equal(powers.d2d(rx, on_air)[1], some[rx])
-        assert np.array_equal(powers.cellular(on_air)[1], some[k:])
-        assert np.array_equal(powers.cellular(on_air[:0])[1],
-                              row_loop_sum(powers.interference, users)[k:])
-        sir_d, sir_c = powers.sirs(on_air)
-        assert np.array_equal(sir_d, radio.sir(powers.d2d_signal[on_air], some[on_air]))
-        assert np.array_equal(sir_c, radio.sir(powers.cell_signal, some[k:]))
+        alone = row_loop_sum(powers.interference, users)
+        for at, want in ((np.arange(k), every), (on_air, some), (on_air[:0], alone)):
+            sir_d, sir_c = powers.sirs(at)
+            assert np.array_equal(sir_d, radio.sir(powers.d2d_signal[at], want[at]))
+            assert np.array_equal(sir_c, radio.sir(powers.cell_signal, want[k:]))
+        # these two build their own matrices, over only the links they name
+        ids, signal, inter = radio.d2d_sir_values(links[on_air], links[rx], pairs, assoc,
+                                                  fading, params)
+        assert np.array_equal(ids, links[rx])
+        assert np.array_equal(signal, powers.d2d_signal[rx])
+        assert np.array_equal(inter, some[rx])
+        for active, want in ((links[on_air], some), ([], alone)):
+            cells, signal, inter = radio.cellular_sir_values(active, assoc, pairs, fading, params)
+            assert cells.tolist() == list(range(n_cells))
+            assert np.array_equal(signal, powers.cell_signal)
+            assert np.array_equal(inter, want[k:])

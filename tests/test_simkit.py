@@ -443,13 +443,26 @@ class TestTopFractionGrid:
                                                  delta=120.0, p_s=0.5),
                                window=window, n_realizations=40, seed=13)
         report = simkit.run_experiment(cfg)
-        assert cell["ase"] == pytest.approx(report.ase.mean, rel=1e-9)
-        assert cell["coverage"] == pytest.approx(report.cellular_coverage.mean, rel=1e-9)
+        assert cell["ase"] == report.ase.mean
+        assert cell["coverage"] == report.cellular_coverage.mean
         assert cell["n"] == 40
 
     def test_rejects_bad_fractions(self):
         with pytest.raises(ParameterError):
             simkit.run_topfraction_grid(make_params(), [100.0], [1.5], 5, 1)
+
+    @pytest.mark.parametrize("field, deltas, ps_values",
+                             [("deltas", [100.0, 100.0], [0.5]),
+                              ("ps_values", [100.0], [0.5, 0.5])],
+                             ids=["deltas", "ps_values"])
+    def test_rejects_repeated_values_by_name(self, monkeypatch, field, deltas, ps_values):
+        # a repeat would append each realization to its cell twice, so n = 2 * n_realizations
+        def unreachable(*args):
+            raise AssertionError("sampled a realization")
+
+        monkeypatch.setattr(simkit, "sample_realization", unreachable)
+        with pytest.raises(ParameterError, match=field):
+            simkit.run_topfraction_grid(make_params(), deltas, ps_values, 3, 1)
 
     def test_rejects_zero_realizations(self):
         # an empty sample would give NaN for every grid cell
