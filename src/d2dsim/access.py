@@ -67,8 +67,8 @@ class SchemeSpec:
             raise ParameterError(f"{self.kind} requires fields {sorted(needed)}, got {sorted(given)}")
         if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ParameterError("delta must be finite and nonnegative")
-        if self.g is not None and not 0 < self.g < math.inf:
-            raise ParameterError("SIR threshold g must be finite and positive")
+        if self.g is not None and not 0 <= self.g < math.inf:
+            raise ParameterError("SIR threshold g must be finite and nonnegative")
         if self.p_s is not None and not 0 <= self.p_s <= 1:
             raise ParameterError("p_s must be in [0, 1]")
         if self.g_min is not None and not 0 <= self.g_min < math.inf:
@@ -143,9 +143,10 @@ def estimate(candidates: np.ndarray, powers: radio.LinkPowers) -> ActiveSet:
 
 
 def stage2_threshold(estimated: ActiveSet, g: float) -> ActiveSet:
-    """Admit every candidate whose estimated SIR strictly beats ``g``."""
-    if not g > 0:
-        raise ParameterError("SIR threshold must be positive")
+    """Admit every candidate whose estimated SIR strictly beats ``g``; at
+    ``g = 0`` that is every candidate with a nonzero signal, almost surely all."""
+    if not g >= 0:
+        raise ParameterError("SIR threshold must be nonnegative")
     return replace(estimated, on_air=np.flatnonzero(estimated.sir > g))
 
 

@@ -24,26 +24,6 @@ from .errors import ConfigError, NumericalError, ParameterError
 from .simkit import ExperimentConfig
 from .spatial import Window
 
-DEFAULTS = {
-    "lambda_m": "1e-6",
-    "lambda_d": "6e-5",
-    "d": "50",
-    "alpha": "4",
-    "beta_db": "5",
-    "gamma_db": "0",
-    "p_c_mw": "10",
-    "p_d_mw": "0.1",
-    "mu": "0.3",
-    "window_m": "3000",
-    "topology": "torus",
-    "n_realizations": "4000",
-    "seed": "1",
-    "n_jobs": "1",
-    "rate_ceiling": "30",
-    "refresh_fading": "false",
-    "ccdf_points_db": "",
-    "scheme.kind": "no_ac",
-}
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -54,14 +34,14 @@ def linear_to_db(linear: float) -> float:
 
 
 def parse_config_file(path: Path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines, each key at most once; '#' starts a comment."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    raw = {}
+    raw, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +51,9 @@ def parse_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         raw[key] = value
     return raw
 
@@ -86,36 +69,67 @@ def _parse_float(text: str, field: str) -> float:
     return value
 
 
-def _parse_float_list(text: str, field: str) -> list[float]:
-    return [_parse_float(tok, field) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str, field: str) -> tuple[float, ...]:
+    """A comma-separated list of finite floats; empty items are skipped."""
+    return tuple(_parse_float(tok, field) for tok in text.split(",") if tok.strip())
 
 
-def _get_float(raw: dict, key: str) -> float:
-    return _parse_float(raw[key], f"config field {key!r}")
-
-
-def _get_db(raw: dict, key: str) -> float:
-    """The dB field ``key`` in linear units."""
+def _parse_db(text: str, field: str) -> float:
+    """The dB value ``text`` in linear units."""
     try:
-        return db_to_linear(_get_float(raw, key))
+        return db_to_linear(_parse_float(text, field))
     except OverflowError:
-        raise ConfigError(f"config field {key!r} is too large: {raw[key]!r} dB") from None
+        raise ConfigError(f"{field} is too large: {text!r} dB") from None
 
 
-def _get_int(raw: dict, key: str) -> int:
+def _parse_int(text: str, field: str) -> int:
     try:
-        return int(raw[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(f"config field {key!r} is not an integer: {raw[key]!r}") from None
+        raise ConfigError(f"{field} is not an integer: {text!r}") from None
 
 
-def _get_bool(raw: dict, key: str) -> bool:
-    value = raw[key].strip().lower()
+def _parse_bool(text: str, field: str) -> bool:
+    value = text.strip().lower()
     if value in ("true", "1", "yes", "on"):
         return True
     if value in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"config field {key!r} is not a boolean: {raw[key]!r}")
+    raise ConfigError(f"{field} is not a boolean: {text!r}")
+
+
+def _parse_text(text: str, field: str) -> str:
+    return text
+
+
+# Every config key: its default text (None: optional, no default), the parser
+# of its text and the constructor argument it fills, named by its group:
+# SystemParams ("params"), SchemeSpec ("scheme"), Window ("window", whose side
+# is both width and height) or RunConfig ("run").
+FIELDS = (
+    ("lambda_m", "1e-6", _parse_float, "params", "lambda_m"),
+    ("lambda_d", "6e-5", _parse_float, "params", "lambda_d"),
+    ("d", "50", _parse_float, "params", "d"),
+    ("alpha", "4", _parse_float, "params", "alpha"),
+    ("beta_db", "5", _parse_db, "params", "beta"),
+    ("gamma_db", "0", _parse_db, "params", "gamma"),
+    ("p_c_mw", "10", _parse_float, "params", "p_c_mw"),
+    ("p_d_mw", "0.1", _parse_float, "params", "p_d_mw"),
+    ("mu", "0.3", _parse_float, "run", "mu"),
+    ("window_m", "3000", _parse_float, "window", "side"),
+    ("topology", "torus", _parse_text, "window", "topology"),
+    ("n_realizations", "4000", _parse_int, "run", "n_realizations"),
+    ("seed", "1", _parse_int, "run", "seed"),
+    ("n_jobs", "1", _parse_int, "run", "n_jobs"),
+    ("rate_ceiling", "30", _parse_float, "run", "rate_ceiling"),
+    ("refresh_fading", "false", _parse_bool, "run", "refresh_fading_between_phases"),
+    ("ccdf_points_db", "", _parse_floats, "run", "ccdf_points_db"),
+    ("scheme.kind", "no_ac", _parse_text, "scheme", "kind"),
+    ("scheme.delta", None, _parse_float, "scheme", "delta"),
+    ("scheme.g_db", None, _parse_db, "scheme", "g"),
+    ("scheme.p_s", None, _parse_float, "scheme", "p_s"),
+    ("scheme.g_min", None, _parse_float, "scheme", "g_min"),
+)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -140,69 +154,42 @@ class RunConfig(ExperimentConfig):
         return planner.ConstraintSpec(mu=self.mu, gamma=self.params.gamma)
 
     def resolved_dict(self) -> dict:
+        """The raw fields plus, for each dB key that is set, its linear value
+        under the key with ``_db`` replaced by ``_linear``."""
         out = dict(sorted(self.raw.items()))
-        out["beta_linear"] = self.params.beta
-        out["gamma_linear"] = self.params.gamma
-        if self.scheme.g is not None:
-            out["scheme.g_linear"] = self.scheme.g
+        for key, _, parse, group, arg in FIELDS:
+            linear = getattr(getattr(self, group), arg) if parse is _parse_db else None
+            if linear is not None:
+                out[key.removesuffix("_db") + "_linear"] = linear
         return out
 
 
 def resolve_config(raw: dict, seed_override: int | None = None) -> RunConfig:
-    merged = dict(DEFAULTS)
+    merged = {key: default for key, default, *_ in FIELDS if default is not None}
     merged.update(raw)
     if seed_override is not None:
         merged["seed"] = str(seed_override)
-    known = set(DEFAULTS) | {"scheme.delta", "scheme.g_db", "scheme.p_s", "scheme.g_min"}
-    unknown = set(merged) - known
+    unknown = set(merged) - {key for key, *_ in FIELDS}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    args: dict = {"params": {}, "scheme": {}, "window": {}, "run": {}}
+    for key, _, parse, group, arg in FIELDS:
+        if key in merged:
+            args[group][arg] = parse(merged[key], f"config field {key!r}")
     try:
-        params = SystemParams(
-            lambda_m=_get_float(merged, "lambda_m"),
-            lambda_d=_get_float(merged, "lambda_d"),
-            d=_get_float(merged, "d"),
-            alpha=_get_float(merged, "alpha"),
-            p_c_mw=_get_float(merged, "p_c_mw"),
-            p_d_mw=_get_float(merged, "p_d_mw"),
-            beta=_get_db(merged, "beta_db"),
-            gamma=_get_db(merged, "gamma_db"),
-        )
+        params = SystemParams(**args["params"])
     except ParameterError as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from None
-    scheme_fields: dict = {"kind": merged["scheme.kind"]}
-    if "scheme.delta" in merged:
-        scheme_fields["delta"] = _get_float(merged, "scheme.delta")
-    if "scheme.g_db" in merged:
-        scheme_fields["g"] = _get_db(merged, "scheme.g_db")
-    if "scheme.p_s" in merged:
-        scheme_fields["p_s"] = _get_float(merged, "scheme.p_s")
-    if "scheme.g_min" in merged:
-        scheme_fields["g_min"] = _get_float(merged, "scheme.g_min")
     try:
-        scheme = SchemeSpec(**scheme_fields)
+        scheme = SchemeSpec(**args["scheme"])
     except ParameterError as exc:
         raise ConfigError(f"invalid scheme config: {exc}") from None
-    window_m = _get_float(merged, "window_m")
-    topology = merged["topology"]
+    side, topology = args["window"]["side"], args["window"]["topology"]
     try:
-        window = Window(window_m, window_m, topology=topology)
+        window = Window(side, side, topology=topology)
     except ParameterError as exc:
-        raise ConfigError(f"invalid window config (window_m = {window_m!r}): {exc}") from None
-    ccdf = tuple(_parse_float_list(merged["ccdf_points_db"], "config field 'ccdf_points_db'"))
-    return RunConfig(
-        params=params,
-        scheme=scheme,
-        window=window,
-        n_realizations=_get_int(merged, "n_realizations"),
-        seed=_get_int(merged, "seed"),
-        n_jobs=_get_int(merged, "n_jobs"),
-        refresh_fading_between_phases=_get_bool(merged, "refresh_fading"),
-        rate_ceiling=_get_float(merged, "rate_ceiling"),
-        ccdf_points_db=ccdf,
-        mu=_get_float(merged, "mu"),
-        raw=merged,
-    )
+        raise ConfigError(f"invalid window config (window_m = {side!r}): {exc}") from None
+    return RunConfig(params=params, scheme=scheme, window=window, raw=merged, **args["run"])
 
 
 def _config_hash(rc: RunConfig) -> str:
@@ -323,10 +310,16 @@ def _best_ase(rc: RunConfig, per_real: list) -> int:
     return max(range(len(reports)), key=lambda i: reports[i].ase.mean)
 
 
+def _check_tuning(n_tuning: int):
+    if n_tuning < 1:
+        raise ParameterError(f"n_tuning must be at least 1, got {n_tuning}")
+
+
 def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
     """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
     guard radius) with the best fixed-rate ASE measured on networks
     ``0 … n_tuning - 1``, subject to the analytic coverage floor."""
+    _check_tuning(n_tuning)
     grid = _channel_aware_grid(rc)
     return grid[_best_ase(rc, simkit.measure_schemes(rc, grid, range(n_tuning)))]
 
@@ -340,6 +333,7 @@ def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) 
     guard-zone-only radius is the grid's at access probability 1 when the
     grid has that point.
     """
+    _check_tuning(n_tuning)
     plan = planner.decoupled_optimize(rc.params, rc.constraint())
     grid = _channel_aware_grid(rc) if "channel_aware" in subset else []
     schemes: dict[str, SchemeSpec] = {}
@@ -414,7 +408,7 @@ def main(argv=None) -> int:
     try:
         rc = resolve_config(parse_config_file(Path(args.config)), seed_override=args.seed)
         if args.subcommand == "sweep":
-            values = _parse_float_list(args.values, "--values")
+            values = _parse_floats(args.values, "--values")
             if not values:
                 raise ConfigError("sweep needs a nonempty --values list")
             if args.axis == "mu":

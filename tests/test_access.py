@@ -33,6 +33,7 @@ def estimated(sir, candidates=None):
 class TestSchemeSpec:
     def test_each_kind_validates_required_fields(self):
         SchemeSpec(kind="proposed_threshold", delta=100.0, g=1.0)
+        SchemeSpec(kind="proposed_threshold", delta=100.0, g=0.0)
         SchemeSpec(kind="proposed_top_fraction", delta=100.0, p_s=0.5)
         SchemeSpec(kind="channel_aware", delta=100.0, p_s=0.5)
         SchemeSpec(kind="channel_aware", delta=100.0, g_min=1e-7)
@@ -132,8 +133,9 @@ class TestEstimationPhase:
 
 class TestStage2Threshold:
     def test_vanishing_threshold_admits_all(self):
-        out = access.stage2_threshold(estimated([0.5, 2.0, 0.01]), 1e-15)
-        assert out.on_air.tolist() == [0, 1, 2]
+        for g in (1e-15, 0.0):
+            out = access.stage2_threshold(estimated([0.5, 2.0, 0.01]), g)
+            assert out.on_air.tolist() == [0, 1, 2]
 
     def test_huge_threshold_admits_none(self):
         assert len(access.stage2_threshold(estimated([0.5, 2.0]), 1e15)) == 0

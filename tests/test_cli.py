@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from d2dsim import analytic, cli, planner, simkit
+from d2dsim.errors import ParameterError
 from d2dsim.planner import ConstraintSpec
 
 TABLE_CONFIG = """
@@ -27,9 +29,18 @@ seed = 11
 """
 
 
+def set_once(body: str) -> str:
+    """``body`` without each line whose key a later line sets again, so a
+    test can extend TABLE_CONFIG: a config file sets each key at most once."""
+    lines = body.splitlines(keepends=True)
+    keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in lines]
+    return "".join(line for i, (line, key) in enumerate(zip(lines, keys))
+                   if not key or key not in keys[i + 1:])
+
+
 def write_config(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(body)
+    path.write_text(set_once(body))
     return path
 
 
@@ -59,6 +70,20 @@ class TestConfigParsing:
         body = TABLE_CONFIG + "scheme.kind = proposed_threshold\nscheme.delta = 229\nscheme.g_db = -0.59\n"
         rc = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, body)))
         assert rc.scheme.g == pytest.approx(10 ** (-0.059), rel=1e-12)
+
+    def test_every_key_documented_with_its_default(self):
+        # README's "Keys and defaults" block shows each key of cli.FIELDS with
+        # its default; an optional key, which has none, appears commented out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        shown = {}
+        for line in block.splitlines():
+            match = re.match(r"(?:# )?([\w.]+) =([^#]*)", line)
+            if match:
+                shown[match[1]] = match[2].strip()
+        assert set(shown) == {key for key, *_ in cli.FIELDS}
+        for key, default, *_ in cli.FIELDS:
+            assert default is None or shown[key] == default, key
 
     def test_seed_override(self, tmp_path):
         rc = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, TABLE_CONFIG)),
@@ -193,6 +218,17 @@ class TestSweepCommand:
                 [row for mu, report in expected
                  for row in cli._stat_rows(report, axis="mu", value=mu)])
 
+    def test_mu_axis_without_d2d_links_plans_zero_threshold(self, tmp_path):
+        # at lambda_d = 0 every mu plans p_s* = 1, g* = 0: admit every candidate
+        body = TABLE_CONFIG + ("lambda_d = 0\nn_realizations = 2\nwindow_m = 1200\n"
+                               "lambda_m = 4e-6\nscheme.kind = proposed_threshold\n"
+                               "scheme.delta = 229\nscheme.g_db = -0.59\n")
+        path = write_config(tmp_path, body)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                         "--axis", "mu", "--values", "0.3,0.5"]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2 * 7
+
     def test_empty_values_exit_two(self, tmp_path):
         path = write_config(tmp_path, TABLE_CONFIG)
         assert cli.main(["sweep", "--config", str(path), "--axis", "delta",
@@ -214,12 +250,29 @@ class TestCompareCommand:
         assert csv_lines[0].startswith("scheme,")
         assert len(csv_lines) == 3
 
+    def test_without_d2d_links_proposes_zero_threshold(self, tmp_path):
+        body = TABLE_CONFIG + "lambda_d = 0\nn_realizations = 2\nwindow_m = 1200\nlambda_m = 4e-6\n"
+        path = write_config(tmp_path, body)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", str(path), "--out", str(out),
+                         "--tuning-realizations", "2"]) == 0
+        rows = json.loads((out / "compare.json").read_text())["rows"]
+        assert rows["proposed"]["scheme"]["g"] == 0.0
+        assert set(rows) == set(cli.COMPARE_SCHEMES)
+
+    @pytest.mark.parametrize("call", [cli.tune_channel_aware, cli.compare_schemes])
+    def test_no_tuning_networks_names_n_tuning(self, tmp_path, call):
+        rc = cli.resolve_config(cli.parse_config_file(write_config(tmp_path, TABLE_CONFIG)))
+        with pytest.raises(ParameterError, match="n_tuning must be at least 1, got 0"):
+            call(rc, n_tuning=0)
+
 
 SUBCOMMANDS = ("analyze", "simulate", "optimize", "sweep", "compare")
 
 MALFORMED_CASES = [
     # (extra config lines, extra CLI arguments, text the error must name);
-    # bytes extend the config file as raw bytes, "{tmp}" is the test's directory;
+    # text replaces the lines that set its keys, bytes extend the config file
+    # as raw bytes, "{tmp}" is the test's directory;
     # CLI arguments may start with the subcommand to run
     ("scheme.kind = guard_zone_only\nscheme.delta = nan\n", (), "scheme.delta"),
     ("rate_ceiling = nan\n", (), "rate_ceiling"),
@@ -251,6 +304,7 @@ MALFORMED_CASES = [
      "scheme.g_db"),
     ("window_m = 1e300\n", ("analyze",), "window_m = 1e+300"),
     ("alpha = 400\n", (), "alpha = 400.0: the pathloss underflows"),
+    (b"seed = 4\n", (), "run.cfg:15: key 'seed' repeats line 13"),
 ]
 
 
@@ -268,7 +322,7 @@ def test_malformed_input_exits_two_naming_the_field(tmp_path, capsys, monkeypatc
     if isinstance(extra, bytes):
         path.write_bytes(body.encode() + extra)
     else:
-        path.write_text(body + extra)
+        path.write_text(set_once(body + extra))
     (tmp_path / "cfgdir").mkdir()
 
     def computation_started(*args, **kwargs):
