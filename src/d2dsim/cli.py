@@ -145,11 +145,6 @@ class RunConfig(ExperimentConfig):
         if not 0 <= self.mu <= 1:
             raise ParameterError(f"mu must be in [0, 1], got {self.mu}")
 
-    def check_pathloss_range(self):
-        """Left to :func:`main`, which runs it for the subcommands that sample
-        realizations: ``analyze`` and ``optimize`` sample none and report an
-        exponent out of range as a quadrature overflow (exit 3)."""
-
     def constraint(self) -> planner.ConstraintSpec:
         return planner.ConstraintSpec(mu=self.mu, gamma=self.params.gamma)
 
@@ -419,7 +414,7 @@ def main(argv=None) -> int:
             else:
                 simkit.check_sweep(rc, args.axis, values)
         if args.subcommand in MONTE_CARLO_SUBCOMMANDS:
-            ExperimentConfig.check_pathloss_range(rc)
+            rc.check_sampling()
         if args.subcommand == "compare" and args.tuning_realizations < 1:
             raise ConfigError(f"--tuning-realizations must be at least 1, "
                               f"got {args.tuning_realizations}")

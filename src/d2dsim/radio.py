@@ -6,9 +6,9 @@ at all gets ``math.inf`` as a sentinel and is flagged by the caller.
 
 Every SIR comes from one received-power matrix: rows are D2D transmitters
 then uplink users, columns are D2D receivers then base stations.
-:func:`d2d_power_matrix` builds it through :func:`received_power`, the one
-place where fading gains meet the pathloss, and :meth:`LinkPowers.build`
-hands out its signals as diagonals and interference as column sums.
+:func:`d2d_power_matrix` builds it, the one place where fading gains meet
+the pathloss, and :meth:`LinkPowers.build` hands out its signals as
+diagonals and interference as column sums.
 
 One summation rule holds everywhere: the matrix is C-ordered, and an
 interference is the full-width sum of the rows on air, taken row by row in
@@ -107,66 +107,46 @@ def link_ids(ids) -> np.ndarray:
     return np.fromiter(sorted(ids), dtype=np.intp, count=len(ids))
 
 
-def d2d_power_matrix(links, pairs: D2DPairSet, params: RadioParams,
-                     assoc: CellAssociation | None = None,
-                     gains: np.ndarray | None = None,
-                     index: np.ndarray | None = None) -> np.ndarray:
+def d2d_power_matrix(links, pairs: D2DPairSet, assoc: CellAssociation,
+                     fading: FadingTable, params: RadioParams) -> np.ndarray:
     """Received power (mW) from every transmitter at every receiver.
 
     Row k is the transmitter of link ``links[k]`` and column k its receiver,
-    so the diagonal carries each link's own signal power.  With ``assoc``
-    the uplink users follow as rows and the base stations as columns, so
-    user ``u`` and base station ``u`` share an index.  ``gains``, laid out
-    the same way or gathered through ``index``, multiplies in the fading;
-    without it the power is pathloss only.  See :func:`received_power` for
-    the buffer it returns.
+    so the diagonal carries each link's own signal power; the uplink users
+    follow as rows and the base stations as columns, so user ``u`` and base
+    station ``u`` share an index.  Entry (i, j) is ``P_i * d2 ** (-alpha / 2)
+    * h_ij`` from the squared distance ``d2`` (``1 / (d2 * d2)`` at alpha =
+    4) and the gain ``h_ij`` of ``fading``, gathered one block at a time
+    when ``links`` are not the whole table.  The result is a new C-ordered
+    buffer.  A zero distance in any block raises :class:`NumericalError`.
     """
     links = np.asarray(links, dtype=np.intp)
-    sources = pairs.transmitters.xy[links]
-    sinks = pairs.receivers.xy[links]
-    n_cells = 0 if assoc is None else len(assoc)
-    if n_cells:
-        sources = np.concatenate([sources, assoc.users.xy])
-        sinks = np.concatenate([sinks, assoc.bs.xy])
+    index = fading.index(links, len(assoc))
+    sources = np.concatenate([pairs.transmitters.xy[links], assoc.users.xy])
+    sinks = np.concatenate([pairs.receivers.xy[links], assoc.bs.xy])
     tx_mw = np.full(len(sources), params.p_c_mw, dtype=float)
     tx_mw[:len(links)] = params.p_d_mw
-    return received_power(sources, sinks, tx_mw, pairs.window, params.alpha, gains, index)
-
-
-def received_power(sources, sinks, tx_mw: np.ndarray, window, alpha: float,
-                   gains: np.ndarray | None = None,
-                   index: np.ndarray | None = None) -> np.ndarray:
-    """``tx_mw[i] * d(i, j) ** -alpha * gains[i, j]`` from each source to each sink.
-
-    The package's one pathloss kernel: ``1 / (d2 * d2)`` at alpha = 4,
-    ``d2 ** (-alpha / 2)`` otherwise, from squared distances ``d2``.  With
-    ``index``, the gains are ``gains[index][:, index]``, gathered one block
-    at a time.  The result is a new C-ordered buffer.  Each block of rows
-    gets its distances, pathloss, transmit power and gains in one go.  A
-    zero distance in any block raises :class:`NumericalError`.
-    """
     result = np.empty((len(sources), len(sinks)))
     height = max(1, BLOCK_ELEMENTS // max(1, result.shape[1]))
     for start in range(0, result.shape[0], height):
         rows = slice(start, start + height)
-        power = pairwise_distance(sources[rows], sinks, window)
+        power = pairwise_distance(sources[rows], sinks, pairs.window)
         if power.size and power.min() <= 0.0:
             raise NumericalError("zero distance: a transmitter sits on a receiver")
-        if alpha == 4:
+        if params.alpha == 4:
             np.multiply(power, power, out=power)
             np.divide(tx_mw[rows, None], power, out=power)
         else:
-            np.power(power, -0.5 * alpha, out=power)
+            np.power(power, -0.5 * params.alpha, out=power)
             np.multiply(power, tx_mw[rows, None], out=power)
         block = result[rows]
-        if gains is None:
-            block[...] = power
-        elif index is None:
-            np.multiply(power, gains[rows], out=block)
+        if index is None:
+            np.multiply(power, fading.gains[rows], out=block)
         else:
             # gather the block's gains into the output, never the whole table;
             # "clip" lets take write there unbuffered (the index is checked)
-            np.take(np.take(gains, index[rows], axis=0), index, axis=1, out=block, mode="clip")
+            np.take(np.take(fading.gains, index[rows], axis=0), index, axis=1,
+                    out=block, mode="clip")
             np.multiply(power, block, out=block)
     return result
 
@@ -197,13 +177,11 @@ class LinkPowers:
     cell_signal: np.ndarray
 
     @classmethod
-    def build(cls, links, pairs: D2DPairSet, assoc: CellAssociation | None,
+    def build(cls, links, pairs: D2DPairSet, assoc: CellAssociation,
               fading: FadingTable, params: RadioParams) -> "LinkPowers":
         """Compute the matrix for sorted link ids ``links`` under ``fading``."""
         links = np.asarray(links, dtype=np.intp)
-        n_cells = 0 if assoc is None else len(assoc)
-        power = d2d_power_matrix(links, pairs, params, assoc, fading.gains,
-                                 fading.index(links, n_cells))
+        power = d2d_power_matrix(links, pairs, assoc, fading, params)
         own = np.arange(len(links))
         cells = np.arange(len(links), power.shape[0])
         d2d_signal = power[own, own]
@@ -219,9 +197,9 @@ class LinkPowers:
 
     def _sum(self, tx) -> np.ndarray:
         """Interference (mW) at every receiver and base station while the
-        links at the ascending positions ``tx`` (default: all) and every
-        uplink user transmit: the rows on air summed row by row, full width."""
-        if tx is None or len(tx) == len(self.links):
+        links at the ascending positions ``tx`` and every uplink user
+        transmit: the rows on air summed row by row, full width."""
+        if len(tx) == len(self.links):
             return self.interference.sum(axis=0)
         users = np.arange(len(self.links), len(self.interference))
         return self.interference[np.concatenate([tx, users])].sum(axis=0)
@@ -267,4 +245,5 @@ def cellular_sir_values(active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
     D2D transmitter interfere.
     """
     powers = LinkPowers.build(link_ids(active_d2d), pairs, assoc, fading, params)
-    return np.arange(len(assoc)), powers.cell_signal, powers._sum(None)[len(powers.links):]
+    every = np.arange(len(powers.links))
+    return np.arange(len(assoc)), powers.cell_signal, powers._sum(every)[len(powers.links):]

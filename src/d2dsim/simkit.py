@@ -30,6 +30,9 @@ log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE = 64
 _LOG_UNDERFLOW = -math.log(np.finfo(float).tiny)   # r ** -alpha underflows past this alpha * ln r
+# Largest N x N float64 array (fading table or power matrix) of a realization's
+# expected N links and cells: 1 GiB is N = 11 585, 21 times the reference 549
+MAX_MATRIX_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -63,22 +66,33 @@ class ExperimentConfig:
         if any(b < a for a, b in zip(self.ccdf_points_db, self.ccdf_points_db[1:])):
             raise ParameterError(
                 f"ccdf_points_db must be sorted ascending, got {list(self.ccdf_points_db)}")
+        if np.isinf(_linear(self.ccdf_points_db)).any():
+            raise ParameterError(f"ccdf_points_db = {self.ccdf_points_db[-1]!r} dB "
+                                 "overflows in linear units")
         half_side = min(self.window.width, self.window.height) / 2
         if self.params.d > half_side:
             # beyond this the wrap (or the bounded redraw) can no longer honor d
             raise ParameterError(f"d = {self.params.d} m exceeds half the window side, "
                                  f"{half_side} m")
-        self.check_pathloss_range()
 
-    def check_pathloss_range(self):
-        """Raise ``ParameterError`` naming ``alpha`` if the pathloss ``r ** -alpha``
-        at the window's farthest distance ``r`` is below the smallest normal
-        float: there the Monte Carlo loses far interference, and at large
-        enough alpha it measures every SIR as infinite."""
-        far = self.window.farthest_distance
-        if far > 1 and self.params.alpha * math.log(far) > _LOG_UNDERFLOW:
+    def check_sampling(self):
+        """Raise ``ParameterError`` unless a realization's arrays fit in
+        ``MAX_MATRIX_BYTES`` and the pathloss ``r ** -alpha`` at the window's
+        farthest distance ``r`` is a normal float: below that the Monte Carlo
+        loses far interference, and at large enough alpha it measures every
+        SIR as infinite.  Every draw runs it; the CLI runs it up front."""
+        p, window = self.params, self.window
+        n = (p.lambda_d + p.lambda_m) * window.area
+        if 8 * n * n > MAX_MATRIX_BYTES:
             raise ParameterError(
-                f"alpha = {self.params.alpha}: the pathloss underflows at the window's "
+                f"lambda_d = {p.lambda_d} and lambda_m = {p.lambda_m} per m^2 over a "
+                f"{window.width:g} x {window.height:g} m window (window_m) expect {n:.6g} links "
+                f"and cells, whose matrices need {8 * n * n / 2 ** 30:.3g} GiB, over the "
+                f"{MAX_MATRIX_BYTES / 2 ** 30:g} GiB limit")
+        far = window.farthest_distance
+        if far > 1 and p.alpha * math.log(far) > _LOG_UNDERFLOW:
+            raise ParameterError(
+                f"alpha = {p.alpha}: the pathloss underflows at the window's "
                 f"farthest distance, {far:.6g} m; alpha must be at most "
                 f"{_LOG_UNDERFLOW / math.log(far):.6g} in this window")
 
@@ -161,6 +175,7 @@ def realization_rng(seed: int, index: int, attempt: int = 0) -> np.random.Genera
 
 
 def sample_realization(config: ExperimentConfig, index: int) -> Realization:
+    config.check_sampling()
     params, window = config.params, config.window
     for attempt in range(_MAX_RESAMPLE):
         rng = realization_rng(config.seed, index, attempt)
@@ -188,6 +203,12 @@ def _capped_rate(sir: np.ndarray, ceiling: float) -> np.ndarray:
     return np.where(np.isinf(sir), ceiling, rate)
 
 
+def _linear(points_db) -> np.ndarray:
+    """dB values in linear units, ``inf`` where they overflow."""
+    with np.errstate(over="ignore"):
+        return np.power(10.0, np.asarray(points_db, dtype=float) / 10.0)
+
+
 def _count_above(sir: np.ndarray, thresholds: np.ndarray) -> tuple:
     return tuple((sir > thresholds[:, None]).sum(axis=1).tolist())
 
@@ -212,7 +233,7 @@ def _metrics(config: ExperimentConfig, real: Realization, active: ActiveSet,
     """
     sir_d, sir_c = powers.sirs(powers.positions(active.active))
     params = config.params
-    thresholds = np.power(10.0, np.asarray(config.ccdf_points_db, dtype=float) / 10.0)
+    thresholds = _linear(config.ccdf_points_db)
     return RealizationMetrics(
         n_potential=len(real.pairs),
         n_candidates=len(active.candidates),
@@ -364,7 +385,7 @@ def check_sweep(config: ExperimentConfig, axis: str, values) -> None:
     if not values:
         raise ParameterError("sweep needs at least one value")
     for value in values:
-        _config_for(config, axis, value)
+        _config_for(config, axis, value).check_sampling()
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[tuple[float, MetricsReport]]:

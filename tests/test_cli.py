@@ -304,6 +304,9 @@ MALFORMED_CASES = [
      "scheme.g_db"),
     ("window_m = 1e300\n", ("analyze",), "window_m = 1e+300"),
     ("alpha = 400\n", (), "alpha = 400.0: the pathloss underflows"),
+    ("lambda_d = 1e-2\n", (), "lambda_d = 0.01 and lambda_m = 1e-06"),
+    ("", ("--axis", "lambda_d", "--values", "6e-5,1e-2"), "lambda_d = 0.01 and lambda_m"),
+    ("ccdf_points_db = 0,4000\n", (), "ccdf_points_db = 4000.0 dB overflows"),
     (b"seed = 4\n", (), "run.cfg:15: key 'seed' repeats line 13"),
 ]
 
@@ -372,11 +375,34 @@ def test_quadrature_overflow_exits_three(tmp_path, capsys, extra, subcommand):
 
 
 def test_undrawable_poisson_mean_exits_two(tmp_path, capsys):
+    # the size bound meets this density before the Poisson draw would
+    # (spatial.sample_ppp's own error is tested in test_spatial)
     path = write_config(tmp_path, TABLE_CONFIG + "n_realizations = 1\nlambda_d = 1e300\n")
     code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "intensity 1e+300" in err and "9000000.0 m^2" in err and err.count("\n") == 1
+    assert "lambda_d = 1e+300 and lambda_m = 1e-06" in err and "(window_m)" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# Edge texts fed to every config key, one key at a time, over a small run
+FUZZ_TEXTS = ("", "nan", "inf", "-0", "1e308", "1e-308", "9" * 30, "\u00e9")
+FUZZ_BASE = "seed = 1\nn_realizations = 1\nwindow_m = 1000\nn_jobs = 1\n"
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in cli.FIELDS])
+def test_every_config_text_exits_zero_two_or_three(tmp_path, capsys, key):
+    # n_realizations runs through analyze: a long digit string would
+    # otherwise be a run of that many realizations
+    subcommand = "analyze" if key == "n_realizations" else "simulate"
+    for i, text in enumerate(FUZZ_TEXTS):
+        path = tmp_path / f"fuzz{i}.cfg"
+        path.write_text(set_once(f"{FUZZ_BASE}{key} = {text}\n"), encoding="utf-8")
+        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (text, code, err)
+        assert "Traceback" not in err, (text, err)
 
 
 # compiled SciPy extensions that only the analytic side needs

@@ -25,11 +25,14 @@ def one_link_net(window, user_xy, bs_xy, tx=(1000.0, 1000.0), rx=(1050.0, 1000.0
 
 
 def mean_link_power(window, length, alpha):
-    """Pathloss-only received power of one link at unit transmit power."""
+    """Received power of one link at unit transmit power under unit gains,
+    beside one far cell."""
     pairs = D2DPairSet(PointSet(np.array([[1000.0, 1000.0]]), window),
                        PointSet(np.array([[1000.0 + length, 1000.0]]), window), length)
+    assoc = CellAssociation(bs=PointSet(np.array([[2500.0, 2500.0]]), window),
+                            users=PointSet(np.array([[2450.0, 2500.0]]), window))
     params = RadioParams(alpha=alpha, p_c_mw=10.0, p_d_mw=1.0)
-    return radio.d2d_power_matrix([0], pairs, params)[0, 0]
+    return radio.d2d_power_matrix([0], pairs, assoc, ones_fading(1, 1), params)[0, 0]
 
 
 class TestRadioParams:

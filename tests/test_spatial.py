@@ -99,6 +99,10 @@ class TestSamplePpp:
         with pytest.raises(ParameterError):
             spatial.sample_ppp(-1e-6, window, seeded())
 
+    def test_undrawable_poisson_mean_rejected(self, window):
+        with pytest.raises(ParameterError, match=r"intensity 1e\+300 .* 9000000.0 m\^2"):
+            spatial.sample_ppp(1e300, window, seeded())
+
     def test_same_seed_is_bit_identical(self, window):
         a = spatial.sample_ppp(1e-5, window, seeded(3))
         b = spatial.sample_ppp(1e-5, window, seeded(3))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from d2dsim import radio, spatial
+from d2dsim import radio, simkit, spatial
 from d2dsim.errors import ParameterError
 from d2dsim.planner import ConstraintSpec
 from d2dsim.access import SchemeSpec
@@ -39,7 +39,7 @@ def test_experiment_config_guards():
     with pytest.raises(ParameterError, match="ccdf_points_db"):
         ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
                          ccdf_points_db=(10.0, 0.0))
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), 4000.0, 1e308):   # 10 ** 400 overflows
         with pytest.raises(ParameterError, match="ccdf_points_db"):
             ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
                              ccdf_points_db=(0.0, bad))
@@ -47,20 +47,40 @@ def test_experiment_config_guards():
 
 def test_experiment_config_rejects_an_underflowing_pathloss():
     # 2121 m is the farthest distance on a 3 km torus; 2121 ** -alpha stays a
-    # normal float up to alpha = 92.48
+    # normal float up to alpha = 92.48.  Construction succeeds (analyze and
+    # optimize sample nothing); the check runs where sampling starts.
     for alpha in (92.0, 93.0, 400.0):
-        build = lambda: ExperimentConfig(params=make_params(alpha=alpha),
-                                         scheme=SchemeSpec(kind="no_ac"))
+        config = ExperimentConfig(params=make_params(alpha=alpha),
+                                  scheme=SchemeSpec(kind="no_ac"))
         if alpha < 92.48:
-            build()
+            config.check_sampling()
         else:
             with pytest.raises(ParameterError, match=f"alpha = {alpha}.*2121.32 m"):
-                build()
+                config.check_sampling()
+            with pytest.raises(ParameterError, match=f"alpha = {alpha}"):
+                simkit.sample_realization(config, 0)
     bounded = spatial.Window(3000.0, 3000.0, topology="bounded")   # 4243 m corner to corner
     assert bounded.farthest_distance == pytest.approx(3000.0 * 2 ** 0.5)
+    config = ExperimentConfig(params=make_params(alpha=90.0), scheme=SchemeSpec(kind="no_ac"),
+                              window=bounded)
     with pytest.raises(ParameterError, match="alpha = 90.0"):
-        ExperimentConfig(params=make_params(alpha=90.0), scheme=SchemeSpec(kind="no_ac"),
-                         window=bounded)
+        config.check_sampling()
+
+
+def test_check_sampling_bounds_the_realization_size():
+    # 1 GiB holds an N x N float64 array up to N = 11 585 links and cells
+    window = spatial.Window(1000.0, 1000.0)
+    for lambda_d, fits in ((0.011584, True), (0.011585, False), (1e-2, True)):
+        config = ExperimentConfig(params=make_params(lambda_d=lambda_d, lambda_m=1e-6),
+                                  scheme=SchemeSpec(kind="no_ac"), window=window)
+        if fits:
+            config.check_sampling()
+        else:
+            with pytest.raises(ParameterError, match=r"lambda_d = 0.011585 and "
+                               r"lambda_m = 1e-06 .* \(window_m\) expect 11586 "):
+                config.check_sampling()
+            with pytest.raises(ParameterError, match="1 GiB limit"):
+                simkit.sample_realization(config, 0)
 
 
 def test_cell_association_accessors(window):
