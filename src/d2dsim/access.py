@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import radio, spatial
+from .analytic import SystemParams
 from .errors import ParameterError
 
 PROPOSED_THRESHOLD = "proposed_threshold"
@@ -121,7 +122,7 @@ def stage1_guard_zone(pairs: spatial.D2DPairSet, bs_points: spatial.PointSet,
 
 
 def estimation_phase(candidates, pairs: spatial.D2DPairSet, assoc: spatial.CellAssociation,
-                     fading: radio.FadingTable, params: radio.RadioParams) -> ActiveSet:
+                     fading: radio.FadingTable, params: SystemParams) -> ActiveSet:
     """Every candidate on air, with its estimated SIR while all of them transmit.
 
     All uplink users interfere as well; this is the test-signal stage of the
@@ -180,7 +181,7 @@ def stage2_top_fraction(estimated: ActiveSet, p_s: float) -> ActiveSet:
 
 
 def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
-                           fading: radio.FadingTable, params: radio.RadioParams,
+                           fading: radio.FadingTable, params: SystemParams,
                            g_min: float | None = None, p_s: float | None = None) -> ActiveSet:
     """Admit candidates whose own-link gain ``|h|^2 d^-alpha`` beats ``g_min``.
 
@@ -204,7 +205,7 @@ def channel_aware_activate(pairs: spatial.D2DPairSet, candidates,
     return ActiveSet(candidates=ids, on_air=np.flatnonzero(own_gain > g_min))
 
 
-def reach(spec: SchemeSpec, realization, params: radio.RadioParams) -> ActiveSet:
+def reach(spec: SchemeSpec, realization, params: SystemParams) -> ActiveSet:
     """The decisions of ``spec`` that need no received power.
 
     ``on_air`` holds every link the scheme can put on air: all links for
@@ -239,7 +240,7 @@ def activate(spec: SchemeSpec, reached: ActiveSet, powers: radio.LinkPowers | No
     return stage2_top_fraction(estimated, spec.p_s)
 
 
-def apply_scheme(spec: SchemeSpec, realization, params: radio.RadioParams) -> ActiveSet:
+def apply_scheme(spec: SchemeSpec, realization, params: SystemParams) -> ActiveSet:
     """Dispatch a scheme spec against one realization.
 
     ``realization`` is any object with ``pairs`` (D2DPairSet), ``bs``

@@ -142,11 +142,10 @@ class RunConfig(ExperimentConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.mu <= 1:
-            raise ParameterError(f"mu must be in [0, 1], got {self.mu}")
+        self.constraint()   # ConstraintSpec range-checks mu
 
     def constraint(self) -> planner.ConstraintSpec:
-        return planner.ConstraintSpec(mu=self.mu, gamma=self.params.gamma)
+        return planner.ConstraintSpec(mu=self.mu)
 
     def resolved_dict(self) -> dict:
         """The raw fields plus, for each dB key that is set, its linear value
@@ -281,6 +280,7 @@ def planned_scheme(kind: str, plan: planner.PlanResult) -> SchemeSpec:
 
 COMPARE_SCHEMES = ("proposed", "channel_aware", "guard_zone_only", "no_ac")
 CHANNEL_AWARE_P_AC = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+TUNING_REALIZATIONS = 250   # networks the channel-aware tuning measures by default
 
 
 def _channel_aware_grid(rc: RunConfig) -> list[SchemeSpec]:
@@ -310,7 +310,7 @@ def _check_tuning(n_tuning: int):
         raise ParameterError(f"n_tuning must be at least 1, got {n_tuning}")
 
 
-def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
+def tune_channel_aware(rc: RunConfig, n_tuning: int = TUNING_REALIZATIONS) -> SchemeSpec:
     """Pick the access probability in ``CHANNEL_AWARE_P_AC`` (and matching
     guard radius) with the best fixed-rate ASE measured on networks
     ``0 … n_tuning - 1``, subject to the analytic coverage floor."""
@@ -319,7 +319,8 @@ def tune_channel_aware(rc: RunConfig, n_tuning: int = 250) -> SchemeSpec:
     return grid[_best_ase(rc, simkit.measure_schemes(rc, grid, range(n_tuning)))]
 
 
-def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES, n_tuning: int = 250) -> dict:
+def compare_schemes(rc: RunConfig, subset=COMPARE_SCHEMES,
+                    n_tuning: int = TUNING_REALIZATIONS) -> dict:
     """Table of coverage / sum-rate metrics for the access schemes, one shared seed.
 
     The channel-aware grid is measured with the other schemes on networks
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compare":
             p.add_argument("--scheme", action="append", choices=COMPARE_SCHEMES,
                            help="restrict the comparison to these schemes")
-            p.add_argument("--tuning-realizations", type=int, default=250)
+            p.add_argument("--tuning-realizations", type=int, default=TUNING_REALIZATIONS)
     return parser
 
 

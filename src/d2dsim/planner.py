@@ -36,16 +36,14 @@ def lambert_w0(x: float) -> float:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Cellular protection: tolerated coverage degradation at a SIR target."""
+    """Cellular protection: the fraction of single-tier coverage the D2D tier
+    may take away, at the system's cellular SIR target."""
 
-    mu: float       # allowed fraction of single-tier coverage given up
-    gamma: float    # cellular SIR target, linear
+    mu: float
 
     def __post_init__(self):
         if not 0 <= self.mu <= 1:
-            raise ParameterError("mu must be in [0, 1]")
-        if not self.gamma > 0:
-            raise ParameterError("gamma must be positive")
+            raise ParameterError(f"mu must be in [0, 1], got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -80,14 +78,8 @@ def optimal_access_prob(params: SystemParams) -> float:
 
 
 def coverage_floor(constraint: ConstraintSpec, params: SystemParams) -> tuple[float, float]:
-    """Single-tier coverage p_max and the floor (1 - mu) * p_max.
-
-    Both are at ``params.gamma``, so a ``constraint`` at another SIR target
-    is rejected rather than planned against the wrong floor.
-    """
-    if constraint.gamma != params.gamma:
-        raise ParameterError(f"constraint gamma {constraint.gamma} differs from the "
-                             f"system's gamma {params.gamma}")
+    """Single-tier coverage p_max and the floor (1 - mu) * p_max, both at
+    ``params.gamma``."""
     p_max = analytic.max_cellular_coverage(params)
     return p_max, (1.0 - constraint.mu) * p_max
 
@@ -108,7 +100,7 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
     density = p_s_star * params.lambda_d
 
     def coverage(delta):
-        return analytic.cellular_coverage(constraint.gamma, density, delta, params)
+        return analytic.cellular_coverage(params.gamma, density, delta, params)
 
     if coverage(0.0) >= target:
         return 0.0
@@ -140,7 +132,7 @@ def decoupled_optimize(params: SystemParams, constraint: ConstraintSpec) -> Plan
     delta = solve_guard_radius(p_s, constraint, params)
     g = analytic.threshold_from_access_prob(p_s, params)
     p_max, floor = coverage_floor(constraint, params)
-    coverage = analytic.cellular_coverage(constraint.gamma, p_s * params.lambda_d, delta, params)
+    coverage = analytic.cellular_coverage(params.gamma, p_s * params.lambda_d, delta, params)
     return PlanResult(
         delta_star=delta,
         p_s_star=p_s,

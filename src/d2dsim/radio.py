@@ -24,11 +24,11 @@ at the reference density) does not.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import SystemParams
 from .errors import NumericalError, ParameterError
 from .spatial import CellAssociation, D2DPairSet, pairwise_distance
 
@@ -36,23 +36,6 @@ from .spatial import CellAssociation, D2DPairSet, pairwise_distance
 # Elements in one block of the received-power build: about 216 KB per float64
 # temporary, so a block's few buffers fit a 2 MB L2 cache together.
 BLOCK_ELEMENTS = 27_000
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """Transmit powers and the power-law pathloss exponent (no noise term)."""
-
-    alpha: float
-    p_c_mw: float
-    p_d_mw: float
-
-    def __post_init__(self):
-        if not 2 < self.alpha < math.inf:
-            raise ParameterError(f"pathloss exponent must be finite and exceed 2, got {self.alpha}")
-        for name in ("p_c_mw", "p_d_mw"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +91,7 @@ def link_ids(ids) -> np.ndarray:
 
 
 def d2d_power_matrix(links, pairs: D2DPairSet, assoc: CellAssociation,
-                     fading: FadingTable, params: RadioParams) -> np.ndarray:
+                     fading: FadingTable, params: SystemParams) -> np.ndarray:
     """Received power (mW) from every transmitter at every receiver.
 
     Row k is the transmitter of link ``links[k]`` and column k its receiver,
@@ -178,7 +161,7 @@ class LinkPowers:
 
     @classmethod
     def build(cls, links, pairs: D2DPairSet, assoc: CellAssociation,
-              fading: FadingTable, params: RadioParams) -> "LinkPowers":
+              fading: FadingTable, params: SystemParams) -> "LinkPowers":
         """Compute the matrix for sorted link ids ``links`` under ``fading``."""
         links = np.asarray(links, dtype=np.intp)
         power = d2d_power_matrix(links, pairs, assoc, fading, params)
@@ -214,7 +197,7 @@ class LinkPowers:
 
 
 def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation, pairs: D2DPairSet,
-                                 fading: FadingTable, params: RadioParams) -> np.ndarray:
+                                 fading: FadingTable, params: SystemParams) -> np.ndarray:
     """Received power (mW) at the receivers of links ``rx_indices`` (columns)
     from each uplink user (rows)."""
     powers = LinkPowers.build(rx_indices, pairs, assoc, fading, params)
@@ -223,7 +206,7 @@ def cellular_to_d2d_power_matrix(rx_indices: np.ndarray, assoc: CellAssociation,
 
 
 def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssociation,
-                   fading: FadingTable, params: RadioParams):
+                   fading: FadingTable, params: SystemParams):
     """Signal and interference (mW) for the measured links.
 
     ``transmitting`` is the set of D2D links on air; ``measured`` the links
@@ -238,7 +221,7 @@ def d2d_sir_values(transmitting, measured, pairs: D2DPairSet, assoc: CellAssocia
 
 
 def cellular_sir_values(active_d2d, assoc: CellAssociation, pairs: D2DPairSet,
-                        fading: FadingTable, params: RadioParams):
+                        fading: FadingTable, params: SystemParams):
     """Signal and interference (mW) at every base station.
 
     The BS's own user is the signal; all other uplink users and every active

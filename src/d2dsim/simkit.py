@@ -29,7 +29,15 @@ from .spatial import Window
 log = logging.getLogger(__name__)
 
 _MAX_RESAMPLE = 64
+# Expected base stations per window below which all _MAX_RESAMPLE draws are
+# empty with a chance above 1e-3
+_MIN_BS_COUNT = math.log(1e3) / _MAX_RESAMPLE
 _LOG_UNDERFLOW = -math.log(np.finfo(float).tiny)   # r ** -alpha underflows past this alpha * ln r
+_LOG_OVERFLOW = math.log(np.finfo(float).max)      # and overflows past this -alpha * ln r
+# Shortest link, as a share of the window side: coordinates round by about
+# 1e-16 of the side, which blurs such a link's length by about 1e-7, and
+# near 1e-16 a receiver rounds onto its transmitter
+_MIN_LINK_SHARE = 1e-9
 # Largest N x N float64 array (fading table or power matrix) of a realization's
 # expected N links and cells: 1 GiB is N = 11 585, 21 times the reference 549
 MAX_MATRIX_BYTES = 2 ** 30
@@ -77,28 +85,36 @@ class ExperimentConfig:
 
     def check_sampling(self):
         """Raise ``ParameterError`` unless a realization's arrays fit in
-        ``MAX_MATRIX_BYTES`` and the pathloss ``r ** -alpha`` at the window's
+        ``MAX_MATRIX_BYTES``, its draws are likely to hold a base station,
+        the link length ``d`` is a finite pathloss and resolved by the
+        window's coordinates, and the pathloss ``r ** -alpha`` at the window's
         farthest distance ``r`` is a normal float: below that the Monte Carlo
         loses far interference, and at large enough alpha it measures every
         SIR as infinite.  Every draw runs it; the CLI runs it up front."""
         p, window = self.params, self.window
+        where = f"over a {window.width:g} x {window.height:g} m window (window_m)"
         n = (p.lambda_d + p.lambda_m) * window.area
         if 8 * n * n > MAX_MATRIX_BYTES:
             raise ParameterError(
-                f"lambda_d = {p.lambda_d} and lambda_m = {p.lambda_m} per m^2 over a "
-                f"{window.width:g} x {window.height:g} m window (window_m) expect {n:.6g} links "
-                f"and cells, whose matrices need {8 * n * n / 2 ** 30:.3g} GiB, over the "
-                f"{MAX_MATRIX_BYTES / 2 ** 30:g} GiB limit")
+                f"lambda_d = {p.lambda_d} and lambda_m = {p.lambda_m} per m^2 {where} "
+                f"expect {n:.6g} links and cells, whose matrices need "
+                f"{8 * n * n / 2 ** 30:.3g} GiB, over the {MAX_MATRIX_BYTES / 2 ** 30:g} GiB limit")
+        if p.lambda_m * window.area < _MIN_BS_COUNT:
+            raise ParameterError(
+                f"lambda_m = {p.lambda_m} per m^2 {where} expects "
+                f"{p.lambda_m * window.area:.3g} base stations, fewer than "
+                f"{_MIN_BS_COUNT:.3g}: all {_MAX_RESAMPLE} draws would likely be empty")
+        side = max(window.width, window.height)
+        if p.d < _MIN_LINK_SHARE * side or -p.alpha * math.log(p.d) > _LOG_OVERFLOW:
+            raise ParameterError(
+                f"d = {p.d} m is too short: it must be at least {_MIN_LINK_SHARE:g} of the "
+                f"{side:g} m window side (window_m), and d ** -alpha must not overflow")
         far = window.farthest_distance
         if far > 1 and p.alpha * math.log(far) > _LOG_UNDERFLOW:
             raise ParameterError(
                 f"alpha = {p.alpha}: the pathloss underflows at the window's "
                 f"farthest distance, {far:.6g} m; alpha must be at most "
                 f"{_LOG_UNDERFLOW / math.log(far):.6g} in this window")
-
-    def radio_params(self) -> radio.RadioParams:
-        p = self.params
-        return radio.RadioParams(alpha=p.alpha, p_c_mw=p.p_c_mw, p_d_mw=p.p_d_mw)
 
 
 @dataclass(frozen=True)
@@ -214,12 +230,12 @@ def _count_above(sir: np.ndarray, thresholds: np.ndarray) -> tuple:
 
 
 def _shared_powers(real: Realization, link_sets, fading: radio.FadingTable,
-                   rp: radio.RadioParams) -> radio.LinkPowers:
+                   params: SystemParams) -> radio.LinkPowers:
     """One received-power matrix over every link in any of ``link_sets``."""
     covered = np.zeros(len(real.pairs), dtype=bool)
     for links in link_sets:
         covered[links] = True
-    return radio.LinkPowers.build(np.flatnonzero(covered), real.pairs, real.assoc, fading, rp)
+    return radio.LinkPowers.build(np.flatnonzero(covered), real.pairs, real.assoc, fading, params)
 
 
 def _metrics(config: ExperimentConfig, real: Realization, active: ActiveSet,
@@ -263,15 +279,14 @@ def _measure_all(config: ExperimentConfig, schemes: list,
     covers only the candidates of the schemes that estimate.  A lone scheme
     gets the matrices it would get on its own.
     """
-    rp = config.radio_params()
-    refresh = config.refresh_fading_between_phases
-    reached = [access.reach(scheme, real, rp) for scheme in schemes]
+    params, refresh = config.params, config.refresh_fading_between_phases
+    reached = [access.reach(scheme, real, params) for scheme in schemes]
     covered = [r.active for scheme, r in zip(schemes, reached)
                if not refresh or scheme.kind in access.PROPOSED_KINDS]
-    powers = _shared_powers(real, covered, real.fading_est, rp) if covered else None
+    powers = _shared_powers(real, covered, real.fading_est, params) if covered else None
     actives = [access.activate(scheme, r, powers) for scheme, r in zip(schemes, reached)]
     if refresh:
-        powers = _shared_powers(real, [a.active for a in actives], real.fading_data, rp)
+        powers = _shared_powers(real, [a.active for a in actives], real.fading_data, params)
     return [_metrics(config, real, active, powers) for active in actives]
 
 
@@ -424,7 +439,6 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
                               n_realizations=n_realizations, seed=seed)
     area = config.window.area
     log2_beta = math.log2(1.0 + params.beta)
-    rp = config.radio_params()
 
     ase = {key: [] for key in ((dl, ps) for dl in deltas for ps in ps_values)}
     cov = {key: [] for key in ase}
@@ -432,7 +446,7 @@ def run_topfraction_grid(params: SystemParams, deltas, ps_values, n_realizations
         real = sample_realization(config, index)
         # over every link, a link's position is its id
         powers = radio.LinkPowers.build(np.arange(len(real.pairs)), real.pairs, real.assoc,
-                                        real.fading_est, rp)
+                                        real.fading_est, params)
         for delta in deltas:
             cand = access.stage1_guard_zone(real.pairs, real.bs, delta)
             ranked = access.rank_by_sir(access.estimate(cand, powers).sir)

@@ -73,7 +73,7 @@ REFERENCE_TABLE = {
 
 def test_criterion_3_comparison_table_reproduction():
     params = make_params(lambda_d=6e-5)
-    plan = planner.decoupled_optimize(params, ConstraintSpec(mu=0.3, gamma=1.0))
+    plan = planner.decoupled_optimize(params, ConstraintSpec(mu=0.3))
     base = ExperimentConfig(params=params,
                             scheme=SchemeSpec(kind="proposed_threshold",
                                               delta=plan.delta_star, g=plan.g_star),
@@ -102,7 +102,7 @@ def test_criterion_3_comparison_table_reproduction():
     ca_scheme = cli.tune_channel_aware(rc, n_tuning=200)
     ca = simkit.run_experiment(dataclasses.replace(
         base, scheme=ca_scheme, n_realizations=1500))
-    gz_delta = planner.solve_guard_radius(1.0, ConstraintSpec(mu=0.3, gamma=1.0), params)
+    gz_delta = planner.solve_guard_radius(1.0, ConstraintSpec(mu=0.3), params)
     gz = simkit.run_experiment(dataclasses.replace(
         base, scheme=SchemeSpec(kind="guard_zone_only", delta=gz_delta), n_realizations=1500))
     ordering = proposed.r_d.mean > ca.r_d.mean > gz.r_d.mean
@@ -117,7 +117,7 @@ def test_criterion_3_comparison_table_reproduction():
 @pytest.mark.parametrize("lambda_d", [2e-5, 6e-5, 1e-4])
 def test_criterion_4_decoupled_close_to_exhaustive(lambda_d):
     params = make_params(lambda_d=lambda_d)
-    plan = planner.decoupled_optimize(params, ConstraintSpec(mu=0.3, gamma=1.0))
+    plan = planner.decoupled_optimize(params, ConstraintSpec(mu=0.3))
     target = 0.7 * plan.p_max_coverage
     dec_key = (round(plan.delta_star, 2), round(plan.p_s_star, 4))
     deltas = sorted({0.0, 100.0, 200.0, 300.0, 400.0, dec_key[0]})
@@ -200,7 +200,7 @@ def test_criterion_6_property_suites():
     failures = []
     for i in range(100):
         cfg, g, delta, p_s = _random_setup(i)
-        rp = cfg.radio_params()
+        rp = cfg.params
         real = simkit.sample_realization(cfg, 0)
         n = len(real.pairs)
         candidates = access.stage1_guard_zone(real.pairs, real.bs, delta)
@@ -227,8 +227,7 @@ def test_criterion_6_property_suites():
 
         if n and len(real.assoc):
             scale = 3.7
-            scaled = radio.RadioParams(alpha=rp.alpha, p_c_mw=rp.p_c_mw * scale,
-                                       p_d_mw=rp.p_d_mw * scale)
+            scaled = dataclasses.replace(rp, p_c_mw=rp.p_c_mw * scale, p_d_mw=rp.p_d_mw * scale)
             ids = range(n)
             _, s1, i1 = radio.d2d_sir_values(ids, ids, real.pairs, real.assoc,
                                              real.fading_est, rp)

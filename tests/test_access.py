@@ -20,7 +20,7 @@ def small_realization(i=0, lambda_d=3e-5, lambda_m=2e-6, window=None):
     params = make_params(lambda_d=lambda_d, lambda_m=lambda_m)
     cfg = ExperimentConfig(params=params, scheme=SchemeSpec(kind="no_ac"),
                            window=window, n_realizations=1, seed=1000 + i)
-    return simkit.sample_realization(cfg, 0), cfg.radio_params()
+    return simkit.sample_realization(cfg, 0), cfg.params
 
 
 def estimated(sir, candidates=None):
@@ -92,8 +92,8 @@ class TestEstimationPhase:
         assoc = spatial.CellAssociation(bs=spatial.PointSet(np.zeros((0, 2)), window),
                                         users=spatial.PointSet(np.zeros((0, 2)), window))
         fading = radio.draw_fading(1, 0, seeded())
-        rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        est = access.estimation_phase([0], pairs, assoc, fading, rp)
+        params = make_params()
+        est = access.estimation_phase([0], pairs, assoc, fading, params)
         assert len(est) == 1
         assert math.isinf(est.sir[0])
 
@@ -106,28 +106,28 @@ class TestEstimationPhase:
         assoc = spatial.CellAssociation(bs=spatial.PointSet(np.zeros((0, 2)), window),
                                         users=spatial.PointSet(np.zeros((0, 2)), window))
         fading = radio.FadingTable(gains=np.ones((2, 2)), n_links=2)
-        rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        est = access.estimation_phase([0, 1], pairs, assoc, fading, rp)
+        params = make_params()
+        est = access.estimation_phase([0, 1], pairs, assoc, fading, params)
         cross = math.hypot(50.0, 300.0)
         expected = (0.1 * 50.0 ** -4) / (0.1 * cross ** -4)
         assert est.sir == pytest.approx([expected, expected], rel=1e-12)
 
     def test_adding_a_candidate_weakly_lowers_everyone(self):
-        real, rp = small_realization(2)
+        real, params = small_realization(2)
         n = len(real.pairs)
         assert n >= 3
         est_small = access.estimation_phase(range(n - 1), real.pairs, real.assoc,
-                                            real.fading_est, rp)
-        est_big = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, rp)
+                                            real.fading_est, params)
+        est_big = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, params)
         assert np.all(est_big.sir[:n - 1] <= est_small.sir * (1 + 1e-12))
 
     def test_matches_single_link_sir(self):
-        real, rp = small_realization(3)
+        real, params = small_realization(3)
         n = len(real.pairs)
-        est = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, rp)
+        est = access.estimation_phase(range(n), real.pairs, real.assoc, real.fading_est, params)
         for i in (0, n // 2, n - 1):
             _, signal, inter = radio.d2d_sir_values(range(n), [i], real.pairs, real.assoc,
-                                                    real.fading_est, rp)
+                                                    real.fading_est, params)
             assert est.sir[i] == pytest.approx(signal[0] / inter[0], rel=1e-12)
 
 
@@ -141,9 +141,9 @@ class TestStage2Threshold:
         assert len(access.stage2_threshold(estimated([0.5, 2.0]), 1e15)) == 0
 
     def test_monotone_in_threshold(self):
-        real, rp = small_realization(4)
+        real, params = small_realization(4)
         est = access.estimation_phase(range(len(real.pairs)), real.pairs, real.assoc,
-                                      real.fading_est, rp)
+                                      real.fading_est, params)
         lo = access.stage2_threshold(est, 0.5).active_ids
         hi = access.stage2_threshold(est, 2.0).active_ids
         assert hi <= lo
@@ -204,9 +204,9 @@ class TestStage2TopFraction:
 
 class TestChannelAware:
     def test_zero_gain_threshold_admits_all(self):
-        real, rp = small_realization(7)
+        real, params = small_realization(7)
         ids = range(len(real.pairs))
-        out = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp, g_min=0.0)
+        out = access.channel_aware_activate(real.pairs, ids, real.fading_est, params, g_min=0.0)
         assert out.active_ids == frozenset(ids)
 
     def test_fraction_implies_documented_threshold(self):
@@ -215,72 +215,72 @@ class TestChannelAware:
 
     def test_empirical_admission_rate(self):
         admitted = total = 0
-        rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         for i in range(60):
             real, _ = small_realization(20 + i)
             ids = range(len(real.pairs))
-            out = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp, p_s=0.5)
+            out = access.channel_aware_activate(real.pairs, ids, real.fading_est, params, p_s=0.5)
             admitted += len(out.active_ids)
             total += len(real.pairs)
         se = math.sqrt(0.25 / total)
         assert abs(admitted / total - 0.5) < 3 * se
 
     def test_decisions_are_independent_across_links(self):
-        rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         first, second = [], []
         for i in range(300):
             real, _ = small_realization(100 + i)
             if len(real.pairs) < 2:
                 continue
             out = access.channel_aware_activate(real.pairs, range(len(real.pairs)),
-                                                real.fading_est, rp, p_s=0.5)
+                                                real.fading_est, params, p_s=0.5)
             first.append(0 in out.active_ids)
             second.append(1 in out.active_ids)
         corr = np.corrcoef(np.asarray(first, dtype=float), np.asarray(second, dtype=float))[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(len(first))
 
     def test_fraction_admits_what_its_threshold_admits(self):
-        real, rp = small_realization(7)
+        real, params = small_realization(7)
         ids = range(len(real.pairs))
-        by_p_s = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp, p_s=0.5)
-        by_g_min = access.channel_aware_activate(real.pairs, ids, real.fading_est, rp,
+        by_p_s = access.channel_aware_activate(real.pairs, ids, real.fading_est, params, p_s=0.5)
+        by_g_min = access.channel_aware_activate(real.pairs, ids, real.fading_est, params,
                                                  g_min=-math.log(0.5) / 50.0 ** 4)
         assert 0 < len(by_p_s) < len(real.pairs)
         np.testing.assert_array_equal(by_p_s.on_air, by_g_min.on_air)
 
     def test_overflowing_exponent_names_alpha(self):
         real, _ = small_realization(8)
-        rp = radio.RadioParams(alpha=400.0, p_c_mw=10.0, p_d_mw=0.1)   # 50 ** 400 overflows
+        params = make_params(alpha=400.0)   # 50 ** 400 overflows
         with pytest.raises(ParameterError, match="alpha = 400.0"):
-            access.channel_aware_activate(real.pairs, [0], real.fading_est, rp, p_s=0.5)
-        out = access.channel_aware_activate(real.pairs, [0], real.fading_est, rp, g_min=0.0)
+            access.channel_aware_activate(real.pairs, [0], real.fading_est, params, p_s=0.5)
+        out = access.channel_aware_activate(real.pairs, [0], real.fading_est, params, g_min=0.0)
         assert len(out) == 0   # 50 ** -400 underflows to 0, which no gain beats
 
     def test_requires_exactly_one_selector(self):
-        real, rp = small_realization(8)
+        real, params = small_realization(8)
         with pytest.raises(ParameterError):
-            access.channel_aware_activate(real.pairs, [0], real.fading_est, rp)
+            access.channel_aware_activate(real.pairs, [0], real.fading_est, params)
         with pytest.raises(ParameterError):
-            access.channel_aware_activate(real.pairs, [0], real.fading_est, rp,
+            access.channel_aware_activate(real.pairs, [0], real.fading_est, params,
                                           g_min=1e-7, p_s=0.5)
 
 
 class TestApplyScheme:
     def test_guard_zone_only_at_zero_radius_equals_no_ac(self):
-        real, rp = small_realization(9)
-        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=0.0), real, rp)
-        na = access.apply_scheme(SchemeSpec(kind="no_ac"), real, rp)
+        real, params = small_realization(9)
+        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=0.0), real, params)
+        na = access.apply_scheme(SchemeSpec(kind="no_ac"), real, params)
         assert gz.active_ids == na.active_ids
 
     def test_full_fraction_equals_guard_zone_only(self):
-        real, rp = small_realization(10)
+        real, params = small_realization(10)
         top = access.apply_scheme(SchemeSpec(kind="proposed_top_fraction", delta=200.0, p_s=1.0),
-                                  real, rp)
-        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=200.0), real, rp)
+                                  real, params)
+        gz = access.apply_scheme(SchemeSpec(kind="guard_zone_only", delta=200.0), real, params)
         assert top.active_ids == gz.active_ids
 
     def test_containment_chain(self):
-        rp = radio.RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         for i, spec in enumerate([
             SchemeSpec(kind="proposed_threshold", delta=150.0, g=1.0),
             SchemeSpec(kind="proposed_top_fraction", delta=150.0, p_s=0.4),
@@ -289,18 +289,18 @@ class TestApplyScheme:
             SchemeSpec(kind="no_ac"),
         ]):
             real, _ = small_realization(40 + i)
-            out = access.apply_scheme(spec, real, rp)
+            out = access.apply_scheme(spec, real, params)
             everyone = frozenset(range(len(real.pairs)))
             assert out.active_ids <= out.candidate_ids <= everyone
 
     def test_data_phase_sir_dominates_estimate_under_coherent_fading(self):
-        real, rp = small_realization(11)
+        real, params = small_realization(11)
         out = access.apply_scheme(SchemeSpec(kind="proposed_threshold", delta=100.0, g=0.8),
-                                  real, rp)
+                                  real, params)
         if not len(out):
             pytest.skip("no active links in this draw")
         _, sig, inter = radio.d2d_sir_values(out.active, out.active, real.pairs,
-                                             real.assoc, real.fading_data, rp)
+                                             real.assoc, real.fading_data, params)
         assert np.all(radio.sir(sig, inter) >= out.sir[out.on_air] * (1 - 1e-12))
 
 

@@ -204,8 +204,7 @@ class TestSweepCommand:
             rc = cli.resolve_config(cli.parse_config_file(path))
             expected, planned = [], []
             for mu in (0.3, 0.5):
-                plan = planner.decoupled_optimize(rc.params,
-                                                  ConstraintSpec(mu=mu, gamma=rc.params.gamma))
+                plan = planner.decoupled_optimize(rc.params, ConstraintSpec(mu=mu))
                 scheme = cli.planned_scheme(kind, plan)
                 assert scheme.to_dict() == {"kind": kind, "delta": plan.delta_star,
                                             **({"p_s": plan.p_s_star} if "fraction" in kind
@@ -304,6 +303,8 @@ MALFORMED_CASES = [
      "scheme.g_db"),
     ("window_m = 1e300\n", ("analyze",), "window_m = 1e+300"),
     ("alpha = 400\n", (), "alpha = 400.0: the pathloss underflows"),
+    ("d = 1e-308\n", (), "d = 1e-308 m is too short"),
+    ("lambda_m = 1e-308\n", (), "lambda_m = 1e-308 per m^2 over a 3000 x 3000 m window (window_m)"),
     ("lambda_d = 1e-2\n", (), "lambda_d = 0.01 and lambda_m = 1e-06"),
     ("", ("--axis", "lambda_d", "--values", "6e-5,1e-2"), "lambda_d = 0.01 and lambda_m"),
     ("ccdf_points_db = 0,4000\n", (), "ccdf_points_db = 4000.0 dB overflows"),

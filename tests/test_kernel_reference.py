@@ -155,8 +155,7 @@ def test_cellular_to_d2d_power_matches_per_link_reference(topology, alpha):
     n, gains = len(pairs), real.fading_est.gains
     assert n > 2 and len(assoc) > 0
     for links in (np.arange(0, n, 2), np.arange(n)):   # gathered gains, then the whole table
-        got = radio.cellular_to_d2d_power_matrix(links, assoc, pairs, real.fading_est,
-                                                 config.radio_params())
+        got = radio.cellular_to_d2d_power_matrix(links, assoc, pairs, real.fading_est, params)
         assert got.shape == (len(assoc), len(links))
         for m, link in enumerate(links):
             want = _received(params.p_c_mw, assoc.users.xy, pairs.receivers.xy[link],

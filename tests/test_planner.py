@@ -128,14 +128,14 @@ class TestOptimalSirThreshold:
 
 class TestSolveGuardRadius:
     def test_unconstrained_needs_no_guard_zone(self, params6):
-        assert planner.solve_guard_radius(0.45, ConstraintSpec(mu=1.0, gamma=1.0), params6) == 0.0
+        assert planner.solve_guard_radius(0.45, ConstraintSpec(mu=1.0), params6) == 0.0
 
     def test_no_d2d_needs_no_guard_zone(self):
         params = make_params(lambda_d=0.0)
-        assert planner.solve_guard_radius(1.0, ConstraintSpec(mu=0.3, gamma=1.0), params) == 0.0
+        assert planner.solve_guard_radius(1.0, ConstraintSpec(mu=0.3), params) == 0.0
 
     def test_reference_radius_meets_floor_tightly(self, params6):
-        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        constraint = ConstraintSpec(mu=0.3)
         p_star = planner.optimal_access_prob(params6)
         delta = planner.solve_guard_radius(p_star, constraint, params6)
         assert delta == pytest.approx(229.0, abs=1.0)
@@ -146,18 +146,18 @@ class TestSolveGuardRadius:
 
     def test_monotone_in_mu_and_density(self):
         constraint = {mu: planner.solve_guard_radius(
-            0.45, ConstraintSpec(mu=mu, gamma=1.0), make_params(lambda_d=6e-5))
+            0.45, ConstraintSpec(mu=mu), make_params(lambda_d=6e-5))
             for mu in (0.25, 0.35, 0.45)}
         assert constraint[0.25] >= constraint[0.35] >= constraint[0.45]
         by_density = {lam: planner.solve_guard_radius(
-            0.45, ConstraintSpec(mu=0.3, gamma=1.0), make_params(lambda_d=lam))
+            0.45, ConstraintSpec(mu=0.3), make_params(lambda_d=lam))
             for lam in (2e-5, 6e-5, 1e-4)}
         assert by_density[2e-5] <= by_density[6e-5] <= by_density[1e-4]
 
     def test_infeasible_floor_raises(self):
         params = make_params(lambda_d=1e-3)
         with pytest.raises(InfeasibleError):
-            planner.solve_guard_radius(1.0, ConstraintSpec(mu=1e-6, gamma=1.0), params)
+            planner.solve_guard_radius(1.0, ConstraintSpec(mu=1e-6), params)
 
     def test_one_warning_carrying_the_returned_radius(self, params6):
         # at mu = 0.1 the radius lands far beyond the tight 282 m, and so do
@@ -165,8 +165,7 @@ class TestSolveGuardRadius:
         tight = 1.0 / (2.0 * math.sqrt(math.pi * params6.lambda_m))   # about 282 m
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            delta = planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.1, gamma=1.0),
-                                               params6)
+            delta = planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.1), params6)
         approx = [w for w in caught if issubclass(w.category, ApproximationWarning)]
         assert delta > tight
         assert len(approx) == 1
@@ -175,7 +174,7 @@ class TestSolveGuardRadius:
     def test_plan_warns_once_for_its_radius(self, params6):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.1, gamma=1.0))
+            plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.1))
         approx = [w for w in caught if issubclass(w.category, ApproximationWarning)]
         assert len(approx) == 1
         assert f"{plan.delta_star:.1f} m" in str(approx[0].message)
@@ -183,7 +182,7 @@ class TestSolveGuardRadius:
     def test_probes_reuse_the_keepout_average(self, params6):
         # every probe revisits the same outer nodes; only the first computes them
         analytic._keepout_average.cache_clear()
-        planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.3, gamma=1.0), params6)
+        planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.3), params6)
         info = analytic._keepout_average.cache_info()
         assert info.misses > 0
         assert info.hits >= 10 * info.misses
@@ -191,7 +190,7 @@ class TestSolveGuardRadius:
 
 class TestDecoupledOptimize:
     def test_reference_plan(self, params6):
-        plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3, gamma=1.0))
+        plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3))
         assert plan.p_s_star == pytest.approx(0.44627, abs=2e-5)
         assert plan.g_star == pytest.approx(0.87285, abs=1e-4)
         assert plan.delta_star == pytest.approx(229.0, abs=1.0)
@@ -199,24 +198,19 @@ class TestDecoupledOptimize:
         assert plan.method == "decoupled"
 
     def test_unconstrained_plan_has_no_guard_zone(self, params6):
-        plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=1.0, gamma=1.0))
+        plan = planner.decoupled_optimize(params6, ConstraintSpec(mu=1.0))
         assert plan.delta_star == 0.0
         assert plan.p_s_star == pytest.approx(planner.optimal_access_prob(params6), rel=1e-12)
 
     def test_deterministic(self, params6):
-        a = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3, gamma=1.0))
-        b = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3, gamma=1.0))
+        a = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3))
+        b = planner.decoupled_optimize(params6, ConstraintSpec(mu=0.3))
         assert a == b
-
-    def test_mismatched_gamma_rejected(self):
-        # the floor is at the system's SIR target; the coverage would be at the constraint's
-        with pytest.raises(ParameterError, match="gamma"):
-            planner.decoupled_optimize(make_params(gamma=1.0), ConstraintSpec(mu=0.3, gamma=2.0))
 
 
 class TestCoverageFloor:
     def test_floor_is_one_minus_mu_of_single_tier(self, params6):
-        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        constraint = ConstraintSpec(mu=0.3)
         p_max, floor = planner.coverage_floor(constraint, params6)
         assert p_max == analytic.max_cellular_coverage(params6)
         assert floor == (1.0 - 0.3) * p_max
@@ -224,17 +218,22 @@ class TestCoverageFloor:
         assert plan.p_max_coverage == p_max
         assert plan.constraint_residual == plan.predicted_coverage - floor
 
-    def test_every_planner_rejects_mismatched_gamma(self, params2):
-        constraint = ConstraintSpec(mu=0.3, gamma=2.0)
-        with pytest.raises(ParameterError, match="gamma"):
-            planner.solve_guard_radius(0.5, constraint, params2)
-        with pytest.raises(ParameterError, match="gamma"):
-            planner.exhaustive_search(params2, constraint, [0.0], [0.5], 1, 1)
+    def test_floor_and_plan_are_at_the_system_gamma(self):
+        params = make_params(gamma=2.0)
+        constraint = ConstraintSpec(mu=0.3)
+        p_max, floor = planner.coverage_floor(constraint, params)
+        assert p_max == analytic.max_cellular_coverage(params)
+        assert p_max < analytic.max_cellular_coverage(make_params(gamma=1.0))
+        assert floor == (1.0 - 0.3) * p_max
+        plan = planner.decoupled_optimize(params, constraint)
+        assert plan.predicted_coverage == analytic.cellular_coverage(
+            2.0, plan.p_s_star * params.lambda_d, plan.delta_star, params)
+        assert plan.constraint_residual == plan.predicted_coverage - floor >= 0.0
 
 
 class TestExhaustiveSearch:
     def test_single_feasible_point_is_returned(self, params2):
-        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        constraint = ConstraintSpec(mu=0.3)
         result = planner.exhaustive_search(params2, constraint, deltas=[150.0],
                                            ps_values=[0.6], n_realizations=40, seed=77)
         assert result.delta_star == 150.0
@@ -243,7 +242,7 @@ class TestExhaustiveSearch:
         assert result.constraint_residual >= 0.0
 
     def test_maximum_over_superset_dominates(self, params2):
-        constraint = ConstraintSpec(mu=0.3, gamma=1.0)
+        constraint = ConstraintSpec(mu=0.3)
         small = planner.exhaustive_search(params2, constraint, deltas=[150.0],
                                           ps_values=[0.6], n_realizations=40, seed=77)
         big = planner.exhaustive_search(params2, constraint, deltas=[150.0, 250.0],
@@ -252,11 +251,11 @@ class TestExhaustiveSearch:
 
     def test_empty_grid_rejected(self, params2):
         with pytest.raises(ParameterError):
-            planner.exhaustive_search(params2, ConstraintSpec(mu=0.3, gamma=1.0),
+            planner.exhaustive_search(params2, ConstraintSpec(mu=0.3),
                                       deltas=[], ps_values=[0.5], n_realizations=10, seed=1)
 
     def test_zero_realizations_rejected(self, params2):
         # NaN coverage never falls below the floor, so an empty sample must not reach the search
         with pytest.raises(ParameterError, match="n_realizations"):
-            planner.exhaustive_search(params2, ConstraintSpec(mu=0.3, gamma=1.0),
+            planner.exhaustive_search(params2, ConstraintSpec(mu=0.3),
                                       deltas=[150.0], ps_values=[0.5], n_realizations=0, seed=1)

@@ -12,7 +12,8 @@ import pytest
 
 from d2dsim import radio, spatial
 from d2dsim.errors import NumericalError
-from d2dsim.radio import RadioParams
+
+from conftest import make_params
 
 N_CELLS = 5
 
@@ -87,7 +88,7 @@ SIZES = {   # links, with N_CELLS more rows and columns in the buffer
 @pytest.mark.parametrize("topology", ["torus", "bounded"])
 @pytest.mark.parametrize("n_links", SIZES.values(), ids=SIZES.keys())
 def test_blocked_build_equals_whole_matrix_build(n_links, topology, alpha, gathered):
-    params = RadioParams(alpha=alpha, p_c_mw=10.0, p_d_mw=0.1)
+    params = make_params(alpha=alpha)
     # a gathered build drops the table's first link, so its gains need an index
     pairs, assoc, fading = network(n_links + gathered, topology, seed=n_links)
     links = np.arange(gathered, n_links + gathered)
@@ -97,7 +98,7 @@ def test_blocked_build_equals_whole_matrix_build(n_links, topology, alpha, gathe
 
 def test_block_heights_follow_the_element_budget(monkeypatch):
     pairs, assoc, fading = network(560, "torus", seed=1)
-    params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+    params = make_params()
     blocks = []
     distance = radio.pairwise_distance
 
@@ -126,7 +127,7 @@ def test_zero_distance_in_a_later_block_raises(gathered):
     rx[-1] = window.wrap(tx[-1] + (pairs.link_length, 0.0))
     pairs = spatial.D2DPairSet(spatial.PointSet(tx, window), spatial.PointSet(rx, window),
                                pairs.link_length)
-    params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+    params = make_params()
     links = np.arange(int(gathered), 560)
     assert len(links) - 2 >= radio.BLOCK_ELEMENTS // (len(links) + N_CELLS)   # not the first block
     with pytest.raises(NumericalError):

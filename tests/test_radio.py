@@ -5,8 +5,10 @@ import pytest
 
 from d2dsim import radio, spatial
 from d2dsim.errors import NumericalError, ParameterError
-from d2dsim.radio import FadingTable, RadioParams
+from d2dsim.radio import FadingTable
 from d2dsim.spatial import CellAssociation, D2DPairSet, PointSet
+
+from conftest import make_params
 
 
 def seeded(i=0):
@@ -31,14 +33,8 @@ def mean_link_power(window, length, alpha):
                        PointSet(np.array([[1000.0 + length, 1000.0]]), window), length)
     assoc = CellAssociation(bs=PointSet(np.array([[2500.0, 2500.0]]), window),
                             users=PointSet(np.array([[2450.0, 2500.0]]), window))
-    params = RadioParams(alpha=alpha, p_c_mw=10.0, p_d_mw=1.0)
+    params = make_params(alpha=alpha, p_d_mw=1.0)
     return radio.d2d_power_matrix([0], pairs, assoc, ones_fading(1, 1), params)[0, 0]
-
-
-class TestRadioParams:
-    def test_alpha_must_exceed_two(self):
-        with pytest.raises(ParameterError):
-            RadioParams(alpha=2.0, p_c_mw=10.0, p_d_mw=0.1)
 
 
 class TestPathloss:
@@ -99,7 +95,7 @@ class TestSirD2D:
         # signal: 0.1 * 50^-4; interference: one uplink user 500 m from the receiver
         pairs, assoc = one_link_net(window, user_xy=[[1550.0, 1000.0]], bs_xy=[[2500.0, 2500.0]])
         fading = ones_fading(1, 1)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         ids, signal, inter = radio.d2d_sir_values([0], [0], pairs, assoc, fading, params)
         assert ids.tolist() == [0]
         assert radio.sir(signal, inter)[0] == pytest.approx(100.0, rel=1e-12)
@@ -111,7 +107,7 @@ class TestSirD2D:
         assoc = CellAssociation(bs=PointSet(np.zeros((0, 2)), window),
                                 users=PointSet(np.zeros((0, 2)), window))
         fading = ones_fading(1, 0)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         _, signal, inter = radio.d2d_sir_values([0], [0], pairs, assoc, fading, params)
         assert inter[0] == 0.0
         assert math.isinf(radio.sir(signal, inter)[0])
@@ -124,8 +120,8 @@ class TestSirD2D:
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
         fading = radio.draw_fading(n, nb, rng)
-        base = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
-        scaled = RadioParams(alpha=4.0, p_c_mw=10.0 * 7.3, p_d_mw=0.1 * 7.3)
+        base = make_params()
+        scaled = make_params(p_c_mw=10.0 * 7.3, p_d_mw=0.1 * 7.3)
         active = range(n)
         _, s1, i1 = radio.d2d_sir_values(active, active, pairs, assoc, fading, base)
         _, s2, i2 = radio.d2d_sir_values(active, active, pairs, assoc, fading, scaled)
@@ -142,7 +138,7 @@ class TestSirD2D:
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
         fading = radio.draw_fading(n, nb, rng)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         full = radio.sir(*radio.d2d_sir_values(range(n), [0], pairs, assoc, fading, params)[1:])
         fewer = radio.sir(*radio.d2d_sir_values(range(n - 1), [0], pairs, assoc, fading, params)[1:])
         assert fewer[0] >= full[0]
@@ -156,7 +152,7 @@ class TestSirCellular:
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1000.0, 1500.0]]), window))
         fading = ones_fading(1, 1)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         _, signal, inter = radio.cellular_sir_values([0], assoc, pairs, fading, params)
         assert radio.sir(signal, inter)[0] == pytest.approx(6.25, rel=1e-12)
 
@@ -166,7 +162,7 @@ class TestSirCellular:
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1400.0, 1000.0]]), window))
         fading = ones_fading(0, 1)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         _, signal, inter = radio.cellular_sir_values([], assoc, pairs, fading, params)
         assert math.isinf(radio.sir(signal, inter)[0])
 
@@ -178,7 +174,7 @@ class TestSirCellular:
         assoc = spatial.place_uplink_users(bs, rng)
         n, nb = len(pairs), len(bs)
         fading = radio.draw_fading(n, nb, rng)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         _, _, i_full = radio.cellular_sir_values(range(n), assoc, pairs, fading, params)
         _, _, i_less = radio.cellular_sir_values(range(n - 1), assoc, pairs, fading, params)
         assert np.all(i_less <= i_full)
@@ -189,7 +185,7 @@ class TestSirCellular:
         assoc = CellAssociation(bs=PointSet(np.array([[1000.0, 1000.0]]), window),
                                 users=PointSet(np.array([[1300.0, 1000.0]]), window))
         fading = ones_fading(1, 1)
-        params = RadioParams(alpha=4.0, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params()
         with pytest.raises(NumericalError):
             radio.cellular_sir_values([0], assoc, pairs, fading, params)
 
@@ -217,7 +213,7 @@ class TestOneSummationRule:
         fading = radio.draw_fading(n_links, n_cells, rng)
         # a gathered build leaves out the table's first links
         links = np.arange(first, n_links)
-        params = RadioParams(alpha=3.5, p_c_mw=10.0, p_d_mw=0.1)
+        params = make_params(alpha=3.5)
         powers = radio.LinkPowers.build(links, pairs, assoc, fading, params)
         k = len(links)
         assert len(powers.interference) == k + n_cells >= 17

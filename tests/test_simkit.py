@@ -216,9 +216,9 @@ def dedicated_sirs(cfg, scheme, real):
     """Reference data-phase SIRs of ``scheme``: a matrix built under the
     data-phase draw over its own links on air, each interference summed by
     an explicit loop over the rows (the links on air, then the users)."""
-    rp = cfg.radio_params()
-    active = access.apply_scheme(scheme, real, rp)
-    p = radio.LinkPowers.build(active.active, real.pairs, real.assoc, real.fading_data, rp)
+    active = access.apply_scheme(scheme, real, cfg.params)
+    p = radio.LinkPowers.build(active.active, real.pairs, real.assoc, real.fading_data,
+                               cfg.params)
     total = np.zeros(p.interference.shape[1])
     for row in p.interference:
         total = total + row

@@ -22,10 +22,8 @@ def test_system_params_guards():
 
 
 def test_constraint_spec_guards():
-    with pytest.raises(ParameterError):
-        ConstraintSpec(mu=1.2, gamma=1.0)
-    with pytest.raises(ParameterError):
-        ConstraintSpec(mu=0.3, gamma=0.0)
+    with pytest.raises(ParameterError, match=r"mu must be in \[0, 1\], got 1.2"):
+        ConstraintSpec(mu=1.2)
 
 
 def test_experiment_config_guards():
@@ -81,6 +79,37 @@ def test_check_sampling_bounds_the_realization_size():
                 config.check_sampling()
             with pytest.raises(ParameterError, match="1 GiB limit"):
                 simkit.sample_realization(config, 0)
+
+
+def test_check_sampling_needs_a_likely_base_station():
+    # 64 empty draws in a row have a chance above 1e-3 below ln(1000) / 64 = 0.108
+    # expected base stations; 0.16 (a 400 m window at 1e-6) resamples but draws
+    for side, drawable in ((400.0, True), (329.0, True), (328.0, False)):
+        config = ExperimentConfig(params=make_params(lambda_m=1e-6),
+                                  scheme=SchemeSpec(kind="no_ac"),
+                                  window=spatial.Window(side, side))
+        if drawable:
+            config.check_sampling()
+        else:
+            with pytest.raises(ParameterError, match=r"lambda_m = 1e-06 per m\^2 over a "
+                               r"328 x 328 m window \(window_m\) expects 0.108"):
+                simkit.sample_realization(config, 0)
+
+
+def test_check_sampling_needs_a_resolved_finite_link():
+    # a link must be at least 1e-9 of the window side, and d ** -alpha finite;
+    # at alpha = 200 the far pathloss underflows next, so a passing d meets that check
+    window = spatial.Window(1000.0, 1000.0)
+    for d, alpha, next_error in ((2e-6, 4.0, None), (9e-7, 4.0, "d = 9e-07 m is too short"),
+                                 (0.03, 200.0, "alpha = 200.0: the pathloss underflows"),
+                                 (0.02, 200.0, "d = 0.02 m is too short")):
+        config = ExperimentConfig(params=make_params(d=d, alpha=alpha),
+                                  scheme=SchemeSpec(kind="no_ac"), window=window)
+        if next_error is None:
+            config.check_sampling()
+        else:
+            with pytest.raises(ParameterError, match=next_error):
+                config.check_sampling()
 
 
 def test_cell_association_accessors(window):
