@@ -103,7 +103,8 @@ def sinc_norm(x: float) -> float:
     return math.sin(math.pi * x) / (math.pi * x)
 
 
-def _quad(fn, a, b):
+def _quad_run(fn, a, b) -> tuple[float, dict]:
+    """Adaptive integral of ``fn`` over [a, b] and QUADPACK's infodict."""
     try:
         result = integrate.quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
                                 limit=_QUAD_LIMIT, full_output=1)
@@ -112,7 +113,11 @@ def _quad(fn, a, b):
                              "exceeds the float range") from None
     if len(result) > 3:
         raise NumericalError(f"quadrature failed on [{a}, {b}]: {result[3]}")
-    return result[0]
+    return result[0], result[2]
+
+
+def _quad(fn, a, b) -> float:
+    return _quad_run(fn, a, b)[0]
 
 
 def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: float) -> float:
@@ -126,20 +131,27 @@ def _modified_laplace_exponent_quad(s: float, lam: float, r_min: float, alpha: f
     return 2.0 * math.pi * lam * (inner + tail)
 
 
-def _keepout_integral(a: float, alpha: float) -> float:
+def _keepout_integral(a: float | np.ndarray, alpha: float) -> float | np.ndarray:
     """``integral_a^inf u / (1 + u**alpha) du`` in Gauss's hypergeometric function.
 
     For ``a >= 1`` this is ``a**(2 - alpha) / (alpha - 2) * 2F1(1, 1 - 2/alpha;
     2 - 2/alpha; -a**-alpha)``.  Below 1 it is the whole-line value
     ``(pi/alpha) / sin(2 pi/alpha)`` less ``a**2 / 2 * 2F1(1, 2/alpha;
     1 + 2/alpha; -a**alpha)``, the same function with an argument that can
-    neither overflow nor leave [-1, 0].
+    neither overflow nor leave [-1, 0].  An array ``a`` is evaluated
+    elementwise.
     """
-    if a >= 1:
+    def above(a):
         return a ** (2 - alpha) / (alpha - 2) * special.hyp2f1(
             1, 1 - 2 / alpha, 2 - 2 / alpha, -a ** -alpha)
-    whole = math.pi / alpha / math.sin(2 * math.pi / alpha)
-    return whole - a * a / 2 * special.hyp2f1(1, 2 / alpha, 1 + 2 / alpha, -a ** alpha)
+
+    def below(a):
+        whole = math.pi / alpha / math.sin(2 * math.pi / alpha)
+        return whole - a * a / 2 * special.hyp2f1(1, 2 / alpha, 1 + 2 / alpha, -a ** alpha)
+
+    if isinstance(a, np.ndarray):
+        return np.piecewise(a, [a >= 1], [above, below])
+    return above(a) if a >= 1 else below(a)
 
 
 def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
@@ -163,12 +175,23 @@ def modified_laplace(s: float, lam: float, r_min: float, alpha: float,
         return 1.0
     if method == "quadrature":
         return math.exp(-_modified_laplace_exponent_quad(s, lam, r_min, alpha))
+    return math.exp(-_keepout_exponent(s, lam, r_min, alpha))
+
+
+def _keepout_exponent(s: float | np.ndarray, lam: float, r_min: float,
+                      alpha: float) -> float | np.ndarray:
+    """The closed-form exponent of :func:`modified_laplace`, for ``s > 0``.
+
+    An array ``s`` is evaluated elementwise, with NumPy's square root and
+    arctangent in place of :mod:`math`'s.
+    """
     if alpha == 4:
-        root_s = math.sqrt(s)
-        angle = math.pi / 2 if r_min == 0 else math.atan(root_s / r_min ** 2)
-        return math.exp(-math.pi * lam * root_s * angle)
+        sqrt, atan = (np.sqrt, np.arctan) if isinstance(s, np.ndarray) else (math.sqrt, math.atan)
+        root_s = sqrt(s)
+        angle = math.pi / 2 if r_min == 0 else atan(root_s / r_min ** 2)
+        return math.pi * lam * root_s * angle
     a = r_min * s ** (-1.0 / alpha)
-    return math.exp(-2.0 * math.pi * lam * s ** (2.0 / alpha) * _keepout_integral(a, alpha))
+    return 2.0 * math.pi * lam * s ** (2.0 / alpha) * _keepout_integral(a, alpha)
 
 
 def d2d_success_prob(beta: float, params: SystemParams) -> float:
@@ -251,9 +274,10 @@ def _keepout_average(s: float, lam_m: float, alpha: float, dmin_law: str) -> flo
     """Uplink-user interference Laplace transform at ``s``, averaged over the
     keep-out radius drawn from ``dmin_law``.
 
-    Depends on neither the guard radius nor the D2D density, so the
-    bisection probes of one guard-radius solve, which revisit the same outer
-    nodes, reuse it instead of re-integrating.
+    Depends on neither the guard radius nor the D2D density, so coverage
+    calls that revisit the same outer nodes (the single-tier ceiling and the
+    guard-radius probes the estimate cannot decide) reuse it instead of
+    re-integrating.
     """
     if dmin_law == NEAREST_LAW:
         dmin_pdf = pdf_link_distance
@@ -266,6 +290,36 @@ def _keepout_average(s: float, lam_m: float, alpha: float, dmin_law: str) -> flo
         return dmin_pdf(r, lam_m) * modified_laplace(s, lam_m, r, alpha)
 
     return _quad(f, 0.0, r_max)
+
+
+def _check_coverage_args(gamma: float, active_d2d_density: float, delta: float,
+                         dmin_law: str):
+    if gamma < 0 or active_d2d_density < 0 or delta < 0:
+        raise ParameterError("gamma, density and delta must be nonnegative")
+    if dmin_law not in (NEAREST_LAW, CELL_DISK_LAW):
+        raise ParameterError(f"unknown dmin_law {dmin_law!r}")
+
+
+def _coverage_integrand(gamma: float, active_d2d_density: float, delta: float,
+                        params: SystemParams, dmin_law: str):
+    """The outer integrand of :func:`cellular_coverage`, over the serving-link distance."""
+    lam_m = params.lambda_m
+    power_ratio = params.p_d_mw / params.p_c_mw
+
+    def outer(x: float) -> float:
+        s = gamma * x ** params.alpha
+        keep = modified_laplace(s * power_ratio, active_d2d_density, delta, params.alpha)
+        return (pdf_link_distance(x, lam_m) * _keepout_average(s, lam_m, params.alpha, dmin_law)
+                * keep)
+
+    return outer
+
+
+def _coverage_run(gamma: float, active_d2d_density: float, delta: float,
+                  params: SystemParams, dmin_law: str) -> tuple[float, dict]:
+    x_max = _link_distance_quantile(1.0 - _TAIL_MASS, params.lambda_m)
+    return _quad_run(_coverage_integrand(gamma, active_d2d_density, delta, params, dmin_law),
+                     0.0, x_max)
 
 
 def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
@@ -285,28 +339,96 @@ def cellular_coverage(gamma: float, active_d2d_density: float, delta: float,
     equal-area-disk law of ``pdf_dmin`` instead.  It never warns: the code
     that picks a radius calls :func:`warn_if_loose` for it.
     """
-    if gamma < 0 or active_d2d_density < 0 or delta < 0:
-        raise ParameterError("gamma, density and delta must be nonnegative")
-    if dmin_law not in (NEAREST_LAW, CELL_DISK_LAW):
-        raise ParameterError(f"unknown dmin_law {dmin_law!r}")
+    _check_coverage_args(gamma, active_d2d_density, delta, dmin_law)
     if gamma == 0:
         return 1.0
-    lam_m = params.lambda_m
-    power_ratio = params.p_d_mw / params.p_c_mw
-    x_max = _link_distance_quantile(1.0 - _TAIL_MASS, lam_m)
+    return _coverage_run(gamma, active_d2d_density, delta, params, dmin_law)[0]
 
-    def outer(x: float) -> float:
-        s = gamma * x ** params.alpha
-        keep = modified_laplace(s * power_ratio, active_d2d_density, delta, params.alpha)
-        return (pdf_link_distance(x, lam_m) * _keepout_average(s, lam_m, params.alpha, dmin_law)
-                * keep)
 
-    return _quad(outer, 0.0, x_max)
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21.f; Piessens, de Doncker-Kapenga,
+# Ueberhuber and Kahaner 1983): the abscissae on [-1, 1] from the outside in,
+# and their Kronrod weights.  The 10-point Gauss rule sits on every other
+# abscissa, from the second on.
+_GK21_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_GK21_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK21_NODES = np.concatenate([-_GK21_HALF_NODES[:-1], _GK21_HALF_NODES[::-1]])
+_GK21_WEIGHTS = np.concatenate([_GK21_HALF_WEIGHTS[:-1], _GK21_HALF_WEIGHTS[::-1]])
+
+# Entries of the single-tier memo, one per (gamma, params, dmin_law): a plan
+# reads one, a sweep one per swept point.
+_SINGLE_TIER_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_SINGLE_TIER_CACHE_SIZE)
+def _single_tier(gamma: float, params: SystemParams,
+                 dmin_law: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """Single-tier coverage at ``gamma``, and :func:`coverage_estimate`'s
+    table on the final partition of that quadrature.
+
+    At each GK21 node of each interval the table holds the D2D-free integrand
+    times the half-width and the Kronrod (first row) or Gauss (second row)
+    weight, and ``gamma x**alpha P_d / P_c``, the D2D tier's Laplace argument.
+    QUADPACK evaluated these very nodes last, so every keep-out average is a
+    memo hit.
+    """
+    _check_coverage_args(gamma, 0.0, 0.0, dmin_law)
+    value, info = _coverage_run(gamma, 0.0, 0.0, params, dmin_law)
+    last = info["last"]
+    a, b = info["alist"][:last, None], info["blist"][:last, None]
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b) + half * _GK21_NODES     # QUADPACK's centr -/+ hlgth * xgk
+    ceiling = _coverage_integrand(gamma, 0.0, 0.0, params, dmin_law)
+    values = np.array([ceiling(x) for x in nodes.ravel().tolist()]).reshape(nodes.shape)
+    gauss = np.zeros_like(_GK21_WEIGHTS)
+    gauss[1::2] = np.polynomial.legendre.leggauss(10)[1]
+    weighted = values * half * np.stack([_GK21_WEIGHTS, gauss])[:, None, :]
+    s_d2d = gamma * nodes ** params.alpha * (params.p_d_mw / params.p_c_mw)
+    weighted.flags.writeable = s_d2d.flags.writeable = False   # shared by every caller
+    return value, weighted, s_d2d
+
+
+def coverage_estimate(gamma: float, active_d2d_density: float, delta: float,
+                      params: SystemParams) -> tuple[float, float]:
+    """Fixed-rule estimate of :func:`cellular_coverage` (``nearest`` law) and
+    a bound on its error.
+
+    Applies the 21-point Gauss-Kronrod rule on the final partition of the
+    single-tier ceiling's quadrature at ``gamma``, with the D2D tier's
+    keep-out factor (:func:`_keepout_exponent`, the closed form
+    :func:`modified_laplace` uses) evaluated at every node at once.  The
+    bound sums, over the intervals, the distance between the Kronrod sum and
+    the embedded 10-point Gauss sum: QUADPACK's error estimate, not a proven
+    bound.  The guard-radius bisection decides a probe from it when the
+    bound allows; every coverage the package reports comes from
+    :func:`cellular_coverage`.
+    """
+    _check_coverage_args(gamma, active_d2d_density, delta, NEAREST_LAW)
+    if gamma == 0:
+        return 1.0, 0.0
+    _, weighted, s_d2d = _single_tier(gamma, params, NEAREST_LAW)
+    exponent = _keepout_exponent(s_d2d, active_d2d_density, delta, params.alpha)
+    kronrod, gauss = (weighted * np.exp(-exponent)).sum(axis=2)
+    value, bound = float(kronrod.sum()), float(np.abs(kronrod - gauss).sum())
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise NumericalError(f"coverage estimate is not finite: {value} +- {bound}")
+    return value, bound
 
 
 def max_cellular_coverage(params: SystemParams, dmin_law: str = NEAREST_LAW) -> float:
-    """Cellular coverage with the D2D tier silent (single-tier ceiling)."""
-    return cellular_coverage(params.gamma, 0.0, 0.0, params, dmin_law=dmin_law)
+    """Cellular coverage with the D2D tier silent (single-tier ceiling),
+    memoized on ``(params, dmin_law)``."""
+    return _single_tier(params.gamma, params, dmin_law)[0]
 
 
 def access_prob_from_threshold(g: float, params: SystemParams) -> float:

@@ -212,9 +212,9 @@ def _csv(rows: list[dict]) -> str:
 def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
           files: dict, started: tuple):
     """Write output files plus the manifest: a dict as JSON, a list of rows
-    as CSV, which is also printed.  ``started`` holds the clock and the
-    keep-out memo counters read when the invocation began, so the
-    diagnostics count this invocation only."""
+    as CSV, which is also printed.  ``started`` holds the clock, the
+    keep-out memo counters and the guard-radius probe counts read when the
+    invocation began, so the diagnostics count this invocation only."""
     for name, content in files.items():
         if isinstance(content, dict):
             _write_json(out_dir / name, content)
@@ -222,7 +222,7 @@ def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
             text = _csv(content)
             print(text, end="")
             (out_dir / name).write_text(text)
-    clock, before = started
+    clock, before, probes = started
     after = analytic._keepout_average.cache_info()
     manifest = {   # what the invocation produced, for provenance and reruns
         "subcommand": subcommand,
@@ -236,6 +236,8 @@ def _emit(out_dir: Path, subcommand: str, config_path: str, rc: RunConfig,
             "hits": after.hits - before.hits,
             "misses": after.misses - before.misses,
             "currsize": after.currsize,
+        }, "guard_radius": {
+            name: count - probes[name] for name, count in planner.PROBE_COUNTS.items()
         }},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -400,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.monotonic(), analytic._keepout_average.cache_info()
+    started = (time.monotonic(), analytic._keepout_average.cache_info(),
+               dict(planner.PROBE_COUNTS))
     try:
         rc = resolve_config(parse_config_file(Path(args.config)), seed_override=args.seed)
         if args.subcommand == "sweep":

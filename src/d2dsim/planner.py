@@ -84,15 +84,27 @@ def coverage_floor(constraint: ConstraintSpec, params: SystemParams) -> tuple[fl
     return p_max, (1.0 - constraint.mu) * p_max
 
 
+# Guard-radius probes since import, by what decided them: the fixed-rule
+# estimate's bound (screened) or the adaptive coverage (exact)
+PROBE_COUNTS = {"screened": 0, "exact": 0}
+
+
 def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
                        params: SystemParams) -> float:
     """Smallest guard radius meeting the coverage floor, by bisection to 0.1 m.
 
     The floor is (1 - mu) times the single-tier coverage; the analytic
-    coverage is nondecreasing in the radius, so bisection applies.  Returns
-    0 when no guard zone is needed and raises when even three mean cell radii
-    cannot meet the floor.  A returned radius beyond the tight keep-out
-    radius warns once.
+    coverage is nondecreasing in the radius, so bisection applies.  Each
+    probe is decided by :func:`analytic.coverage_estimate` when its distance
+    from the floor exceeds the estimate's bound plus the quadrature
+    tolerance, and by :func:`analytic.cellular_coverage` otherwise.  The
+    bound is the Kronrod-Gauss difference on the ceiling's partition, an
+    error estimate rather than a proven bound, so the margin makes a decision
+    that differs from the adaptive quadrature's unlikely, not impossible;
+    radii equal an all-adaptive bisection's on every point tested.  Returns
+    0 when no guard zone is needed and raises when even three mean cell
+    radii cannot meet the floor.  A returned radius beyond the tight
+    keep-out radius warns once.
     """
     if not 0 <= p_s_star <= 1:
         raise ParameterError("p_s_star must be in [0, 1]")
@@ -102,18 +114,26 @@ def solve_guard_radius(p_s_star: float, constraint: ConstraintSpec,
     def coverage(delta):
         return analytic.cellular_coverage(params.gamma, density, delta, params)
 
-    if coverage(0.0) >= target:
+    def feasible(delta):
+        value, bound = analytic.coverage_estimate(params.gamma, density, delta, params)
+        if abs(value - target) > bound + max(analytic._QUAD_ABS_TOL,
+                                             analytic._QUAD_REL_TOL * abs(value)):
+            PROBE_COUNTS["screened"] += 1
+            return value >= target
+        PROBE_COUNTS["exact"] += 1
+        return coverage(delta) >= target
+
+    if feasible(0.0):
         return 0.0
     delta_max = _GUARD_MAX_CELL_RADII / math.sqrt(math.pi * params.lambda_m)
-    achieved = coverage(delta_max)
-    if achieved < target:
+    if not feasible(delta_max):
         raise InfeasibleError(
-            f"coverage floor {target:.4f} unreachable: {achieved:.4f} at "
+            f"coverage floor {target:.4f} unreachable: {coverage(delta_max):.4f} at "
             f"guard radius {delta_max:.0f} m")
     lo, hi = 0.0, delta_max
     while hi - lo > _GUARD_TOL_M:
         mid = 0.5 * (lo + hi)
-        if coverage(mid) >= target:
+        if feasible(mid):
             hi = mid
         else:
             lo = mid

@@ -253,6 +253,48 @@ class TestCellularCoverage:
         assert len(record) == 1
 
 
+class TestCoverageEstimate:
+    @pytest.mark.parametrize("alpha", [4.0, 3.5, 6.0])
+    def test_within_its_bound_of_the_adaptive_coverage(self, alpha):
+        params = make_params(alpha=alpha)
+        delta_max = 3.0 / math.sqrt(math.pi * params.lambda_m)
+        for density in (0.0, 2e-5, 1e-4):
+            for delta in (0.0, 50.0, 229.0, 600.0, delta_max):
+                value, bound = analytic.coverage_estimate(1.0, density, delta, params)
+                exact = analytic.cellular_coverage(1.0, density, delta, params)
+                assert abs(value - exact) <= bound, (density, delta)
+
+    def test_zero_target_is_full_coverage(self, params6):
+        assert analytic.coverage_estimate(0.0, 6e-5, 100.0, params6) == (1.0, 0.0)
+
+    def test_negative_arguments_rejected(self, params6):
+        for args in ((-1.0, 1e-5, 100.0), (1.0, -1e-5, 100.0), (1.0, 1e-5, -100.0)):
+            with pytest.raises(ParameterError):
+                analytic.coverage_estimate(*args, params6)
+
+    def test_keepout_integral_takes_arrays(self):
+        a = np.array([0.0, 0.3, 1.0, 2.5])
+        for alpha in (3.5, 6.0):
+            assert analytic._keepout_integral(a, alpha).tolist() == pytest.approx(
+                [analytic._keepout_integral(float(x), alpha) for x in a], rel=1e-13)
+
+
+class TestSingleTierMemo:
+    def test_ceiling_differs_by_gamma_and_law(self, params6):
+        base = analytic.max_cellular_coverage(params6)
+        gamma2 = make_params(gamma=2.0)
+        assert analytic.max_cellular_coverage(gamma2) < base
+        assert analytic.max_cellular_coverage(params6, dmin_law="cell_disk") > base
+        assert analytic.max_cellular_coverage(params6) == base
+        for params, law in ((params6, "nearest"), (gamma2, "nearest"), (params6, "cell_disk")):
+            assert analytic.max_cellular_coverage(params, dmin_law=law) == \
+                analytic.cellular_coverage(params.gamma, 0.0, 0.0, params, dmin_law=law)
+
+    def test_unknown_law_rejected(self, params6):
+        with pytest.raises(ParameterError, match="dmin_law"):
+            analytic.max_cellular_coverage(params6, dmin_law="nope")
+
+
 class TestKeepoutCache:
     def test_bounded_over_random_parameter_sets(self):
         # acceptance criterion 6's generator: 100 networks, each its own lambda_m

@@ -164,6 +164,7 @@ class TestOptimizeCommand:
 
     def test_manifest_counts_this_runs_keepout_cache(self, tmp_path):
         path = write_config(tmp_path, TABLE_CONFIG)
+        analytic._single_tier.cache_clear()
         analytic._keepout_average.cache_clear()
         stats = []
         for out in (tmp_path / "cold", tmp_path / "warm"):
@@ -171,11 +172,32 @@ class TestOptimizeCommand:
             manifest = json.loads((out / "manifest.json").read_text())
             stats.append(manifest["diagnostics"]["keepout_cache"])
         cold, warm = stats
-        assert 0 < cold["misses"] < cold["hits"]
+        assert 0 < cold["misses"]
         assert cold["currsize"] == cold["misses"]
+        # the cold run's traffic is the ceiling's, its table's and the plan's
+        # own coverage's, to the count: no screened probe reads a node
+        plan = json.loads((tmp_path / "cold" / "plan.json").read_text())
+        params = cli.resolve_config(cli.parse_config_file(path)).params
+        analytic._single_tier.cache_clear()
+        analytic._keepout_average.cache_clear()
+        analytic.max_cellular_coverage(params)
+        analytic.cellular_coverage(params.gamma, plan["p_s_star"] * params.lambda_d,
+                                   plan["delta_star"], params)
+        info = analytic._keepout_average.cache_info()
+        assert (cold["hits"], cold["misses"]) == (info.hits, info.misses)
         # the second run finds every node the first one computed
         assert warm["misses"] == 0 and warm["hits"] > 0
         assert warm["currsize"] == cold["currsize"]
+
+    def test_manifest_counts_this_runs_guard_radius_probes(self, tmp_path):
+        path = write_config(tmp_path, TABLE_CONFIG)
+        probes = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert cli.main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            probes.append(manifest["diagnostics"]["guard_radius"])
+        # both ends and 15 halvings, each decided by the estimate's bound
+        assert probes == [{"screened": 17, "exact": 0}] * 2
 
 
 class TestSweepCommand:

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from d2dsim import analytic, planner
+from d2dsim.cli import CHANNEL_AWARE_P_AC
 from d2dsim.errors import ApproximationWarning, InfeasibleError, ParameterError
 from d2dsim.planner import ConstraintSpec
 
@@ -24,6 +25,43 @@ def solve_exp_linear(p: float, a: float, b: float, c: float, d: float) -> float:
         raise ParameterError("base p = 1 makes the equation linear")
     arg = -(a * ln_p / c) * p ** (b - a * d / c)
     return -planner.lambert_w0(arg) / (a * ln_p) - d / c
+
+
+def reference_radius(p_s_star: float, constraint: ConstraintSpec, params) -> float:
+    """``solve_guard_radius``'s bisection with the adaptive coverage at every probe."""
+    _, target = planner.coverage_floor(constraint, params)
+
+    def coverage(delta):
+        return analytic.cellular_coverage(params.gamma, p_s_star * params.lambda_d, delta, params)
+
+    if coverage(0.0) >= target:
+        return 0.0
+    delta_max = 3.0 / math.sqrt(math.pi * params.lambda_m)
+    achieved = coverage(delta_max)
+    if achieved < target:
+        raise InfeasibleError(f"coverage floor {target:.4f} unreachable: {achieved:.4f} at "
+                              f"guard radius {delta_max:.0f} m")
+    lo, hi = 0.0, delta_max
+    while hi - lo > 0.1:
+        mid = 0.5 * (lo + hi)
+        if coverage(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def radius_or_error(solve, p_s_star, constraint, params):
+    try:
+        return solve(p_s_star, constraint, params)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+# the plan workload's points, then the other exponents at the reference point
+SCREEN_CASES = [(make_params(lambda_d=lam), mu) for lam in (2e-5, 6e-5, 1e-4)
+                for mu in (0.1, 0.3, 0.5)]
+SCREEN_CASES += [(make_params(alpha=alpha), 0.3) for alpha in (3.5, 6.0)]
 
 
 class TestLambertW0:
@@ -180,12 +218,64 @@ class TestSolveGuardRadius:
         assert f"{plan.delta_star:.1f} m" in str(approx[0].message)
 
     def test_probes_reuse_the_keepout_average(self, params6):
-        # every probe revisits the same outer nodes; only the first computes them
+        # a screened probe reads the single-tier table, built on the nodes the
+        # ceiling's quadrature evaluated: the solve integrates no node of its own
+        analytic._single_tier.cache_clear()
         analytic._keepout_average.cache_clear()
+        analytic.max_cellular_coverage(params6)
+        ceiling_misses = analytic._keepout_average.cache_info().misses
+        analytic._single_tier.cache_clear()
+        analytic._keepout_average.cache_clear()
+        before = dict(planner.PROBE_COUNTS)
         planner.solve_guard_radius(0.4463, ConstraintSpec(mu=0.3), params6)
-        info = analytic._keepout_average.cache_info()
-        assert info.misses > 0
-        assert info.hits >= 10 * info.misses
+        assert planner.PROBE_COUNTS["exact"] == before["exact"]
+        assert planner.PROBE_COUNTS["screened"] > before["screened"]
+        assert analytic._keepout_average.cache_info().misses == ceiling_misses > 0
+
+    @pytest.mark.parametrize("params, mu", SCREEN_CASES)
+    def test_screened_radii_equal_the_reference_bisection(self, params, mu):
+        constraint = ConstraintSpec(mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            for p_s in (planner.optimal_access_prob(params),) + CHANNEL_AWARE_P_AC:
+                assert radius_or_error(planner.solve_guard_radius, p_s, constraint, params) \
+                    == radius_or_error(reference_radius, p_s, constraint, params), p_s
+
+    def test_every_probe_exact_when_the_bound_never_decides(self, params6, monkeypatch):
+        constraint = ConstraintSpec(mu=0.3)
+        screened = planner.solve_guard_radius(0.4463, constraint, params6)
+        estimate = analytic.coverage_estimate
+        monkeypatch.setattr(analytic, "coverage_estimate",
+                            lambda *args: (estimate(*args)[0], math.inf))
+        before = dict(planner.PROBE_COUNTS)
+        assert planner.solve_guard_radius(0.4463, constraint, params6) == screened
+        assert planner.PROBE_COUNTS["screened"] == before["screened"]
+        assert planner.PROBE_COUNTS["exact"] - before["exact"] == 17   # 2 ends + 15 halvings
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("params, mu", SCREEN_CASES)
+    def test_an_estimate_off_by_almost_its_bound_still_decides_right(self, params, mu,
+                                                                      side, monkeypatch):
+        # the screen may trust only the bound, not the estimate's usual accuracy
+        estimate = analytic.coverage_estimate
+
+        def skewed(*args):
+            value, bound = estimate(*args)
+            return value + side * 0.999 * bound, bound
+
+        monkeypatch.setattr(analytic, "coverage_estimate", skewed)
+        constraint = ConstraintSpec(mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            for p_s in (planner.optimal_access_prob(params),) + CHANNEL_AWARE_P_AC:
+                assert radius_or_error(planner.solve_guard_radius, p_s, constraint, params) \
+                    == radius_or_error(reference_radius, p_s, constraint, params), p_s
+
+    def test_infeasible_message_carries_the_exact_coverage(self):
+        with pytest.raises(InfeasibleError) as caught:
+            planner.solve_guard_radius(1.0, ConstraintSpec(mu=1e-6), make_params(lambda_d=1e-3))
+        assert str(caught.value) == ("coverage floor 0.5552 unreachable: 0.4156 at "
+                                     "guard radius 1693 m")
 
 
 class TestDecoupledOptimize:
